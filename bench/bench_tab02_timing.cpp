@@ -193,15 +193,19 @@ int main(int argc, char** argv) {
   // tableau oracle vs the sparse revised simplex, cold per snapshot vs
   // warm-started from the previous snapshot's optimal basis (consecutive
   // snapshots share the constraint structure, so the basis usually re-primes
-  // in a handful of pivots). All three run serially over the same snapshots
-  // so wall-clock and pivot counts are directly comparable.
+  // in a handful of pivots). Cold revised solves run twice: all-logical
+  // two-phase (the start-basis hint cleared on a copy of the LP) and
+  // crash-started from the hint te::build_mlu_lp attaches, which production
+  // uses. All run serially over the same snapshots so wall-clock and pivot
+  // counts are directly comparable; "ph1" is the phase-1 share of pivots.
   std::cout << "\nLP engines on the omniscient-normalizer sweep "
             << "(serial, same snapshots):\n";
   // "warm hits" counts accepted probes over probes actually made (the first
   // solve of a chain has no basis to probe, and the handle's backoff skips
   // probes after persistent misses — neither is a rejection).
   util::Table et({"network", "solves", "dense (s)", "dense pivots",
-                  "revised (s)", "revised pivots", "warm (s)", "warm pivots",
+                  "two-phase (s)", "two-phase pivots", "ph1", "crash (s)",
+                  "crash pivots", "ph1", "warm (s)", "warm pivots",
                   "warm hits/probes"});
   util::Json jengines = util::Json::array();
   for (auto& ts : scenarios()) {
@@ -212,16 +216,20 @@ int main(int argc, char** argv) {
     struct EngineRun {
       double seconds = 0.0;
       std::size_t pivots = 0;
+      std::size_t phase1_pivots = 0;
     };
-    auto sweep = [&](const lp::SolverOptions& opt,
-                     lp::WarmStart* warm) {
+    auto sweep = [&](const lp::SolverOptions& opt, lp::WarmStart* warm,
+                     bool hint) {
       EngineRun run;
       const auto t0 = Clock::now();
       for (std::size_t t = begin; t < ts.sc.trace.size(); ++t) {
-        const te::MluLpResult res = te::solve_mlu_lp(
-            ts.sc.ps, ts.sc.trace[t], nullptr, nullptr, &opt, warm);
+        lp::LpProblem prob = te::build_mlu_lp(ts.sc.ps, ts.sc.trace[t]);
+        if (!hint) prob.set_start_basis({});
+        lp::SolveStats st;
+        const lp::LpResult res = lp::solve_with(prob, opt, warm, &st);
         if (!res.optimal()) throw std::runtime_error("engine sweep LP failed");
-        run.pivots += res.pivots;
+        run.pivots += st.pivots;
+        run.phase1_pivots += st.phase1_pivots;
       }
       run.seconds = seconds_since(t0);
       return run;
@@ -229,13 +237,17 @@ int main(int argc, char** argv) {
     lp::SolverOptions dense_opt;
     dense_opt.engine = lp::Engine::kDenseTableau;
     lp::SolverOptions revised_opt;  // default: kRevisedSparse
-    const EngineRun dense = sweep(dense_opt, nullptr);
-    const EngineRun cold = sweep(revised_opt, nullptr);
+    const EngineRun dense = sweep(dense_opt, nullptr, true);
+    const EngineRun cold = sweep(revised_opt, nullptr, false);
+    const EngineRun crash = sweep(revised_opt, nullptr, true);
     lp::WarmStart warm;
-    const EngineRun hot = sweep(revised_opt, &warm);
+    const EngineRun hot = sweep(revised_opt, &warm, true);
     et.add_row({ts.sc.name, std::to_string(count),
                 util::fmt(dense.seconds, 3), std::to_string(dense.pivots),
                 util::fmt(cold.seconds, 3), std::to_string(cold.pivots),
+                std::to_string(cold.phase1_pivots),
+                util::fmt(crash.seconds, 3), std::to_string(crash.pivots),
+                std::to_string(crash.phase1_pivots),
                 util::fmt(hot.seconds, 3), std::to_string(hot.pivots),
                 std::to_string(warm.hits()) + "/" +
                     std::to_string(warm.hits() + warm.misses())});
@@ -247,6 +259,12 @@ int main(int argc, char** argv) {
             .set("dense_pivots", static_cast<std::int64_t>(dense.pivots))
             .set("revised_seconds", cold.seconds)
             .set("revised_pivots", static_cast<std::int64_t>(cold.pivots))
+            .set("revised_phase1_pivots",
+                 static_cast<std::int64_t>(cold.phase1_pivots))
+            .set("crash_seconds", crash.seconds)
+            .set("crash_pivots", static_cast<std::int64_t>(crash.pivots))
+            .set("crash_phase1_pivots",
+                 static_cast<std::int64_t>(crash.phase1_pivots))
             .set("warm_seconds", hot.seconds)
             .set("warm_pivots", static_cast<std::int64_t>(hot.pivots))
             .set("warm_hits", static_cast<std::int64_t>(warm.hits()))

@@ -33,7 +33,8 @@ class RevisedSimplex {
 
   RevisedSimplex(const LpProblem& p, const SolverOptions& opt)
       : opt_(opt),
-        beta_clamp_(beta_clamp(opt.simplex.feasibility_tolerance)) {
+        beta_clamp_(beta_clamp(opt.simplex.feasibility_tolerance)),
+        hint_(&p.start_basis()) {
     const std::size_t n = p.num_variables();
     const std::size_t m = p.num_constraints();
     n_struct_ = n;
@@ -92,20 +93,24 @@ class RevisedSimplex {
     std::size_t slack = n;
     std::size_t art = art_begin_;
     init_basis_.assign(m, 0);
+    logical_.assign(m, 0);
     for (std::size_t i = 0; i < m; ++i) {
       const auto r32 = static_cast<std::uint32_t>(i);
       switch (rels[i]) {
         case Relation::kLessEq:
           trip.push_back({r32, static_cast<std::uint32_t>(slack), 1.0});
+          logical_[i] = static_cast<std::uint32_t>(slack);
           init_basis_[i] = static_cast<std::uint32_t>(slack++);
           break;
         case Relation::kGreaterEq:
-          trip.push_back({r32, static_cast<std::uint32_t>(slack++), -1.0});
+          trip.push_back({r32, static_cast<std::uint32_t>(slack), -1.0});
           trip.push_back({r32, static_cast<std::uint32_t>(art), 1.0});
+          logical_[i] = static_cast<std::uint32_t>(slack++);
           init_basis_[i] = static_cast<std::uint32_t>(art++);
           break;
         case Relation::kEq:
           trip.push_back({r32, static_cast<std::uint32_t>(art), 1.0});
+          logical_[i] = static_cast<std::uint32_t>(art);
           init_basis_[i] = static_cast<std::uint32_t>(art++);
           break;
       }
@@ -130,7 +135,8 @@ class RevisedSimplex {
     row_signature_ = h;
   }
 
-  LpResult run(WarmStart* warm, SolveStats* stats) {
+  /// `use_hint`: a cold start may install the problem's start-basis hint.
+  LpResult run(WarmStart* warm, SolveStats* stats, bool use_hint = true) {
     LpResult result;
     start_ = std::chrono::steady_clock::now();
     if (opt_.simplex.time_limit_seconds < 0.0) {
@@ -143,12 +149,20 @@ class RevisedSimplex {
     const WarmPrime prime = try_warm_start(warm);
 
     if (prime == WarmPrime::kCold) {
-      cold_init();
+      // A crash basis that leaves no artificial above zero is already
+      // feasible for the real problem: phase 1 has nothing to do.
+      bool need_phase1 = true;
+      if (use_hint && crash_init())
+        need_phase1 = artificial_positive();
+      else
+        cold_init();
       // Phase 1: minimize the sum of artificial variables.
-      if (art_begin_ < n_total_) {
+      if (need_phase1 && art_begin_ < n_total_) {
         cost_.assign(n_total_, 0.0);
         for (std::size_t j = art_begin_; j < n_total_; ++j) cost_[j] = 1.0;
+        const std::size_t before = stats_.pivots;
         Status st = iterate(/*phase1=*/true);
+        stats_.phase1_pivots += stats_.pivots - before;
         if (st != Status::kOptimal) {
           result.status = st == Status::kUnbounded ? Status::kInfeasible : st;
           return finish(result, warm, stats);
@@ -207,10 +221,12 @@ class RevisedSimplex {
     return finish(result, warm, stats);
   }
 
-  /// The warm basis was accepted but could not carry the solve home; the
-  /// caller must rerun cold (correctness never depends on the warm path).
+  /// The warm or crash basis was accepted but could not carry the solve
+  /// home; the caller must rerun all-logical two-phase (correctness never
+  /// depends on the warm path or the hint).
   bool needs_cold_retry() const noexcept {
-    return stats_.warm_start_used && (singular_ || dual_collapsed_);
+    return (stats_.warm_start_used && (singular_ || dual_collapsed_)) ||
+           (stats_.crash_start && singular_);
   }
 
  private:
@@ -303,6 +319,39 @@ class RevisedSimplex {
     for (const std::uint32_t c : basis_) state_[c] = VarState::kBasic;
     refactorize();  // all-logical start basis: identity, cannot fail
     beta_ = b_;     // all nonbasics at zero
+  }
+
+  /// Installs the problem's start-basis hint. False (the caller then starts
+  /// all-logical): no hint, wrong length, a column out of range or named
+  /// twice, a singular basis, or basic values outside their bounds.
+  bool crash_init() {
+    const std::vector<std::size_t>& hint = *hint_;
+    if (hint.empty() || hint.size() != m_) return false;
+    for (std::size_t j = art_begin_; j < n_total_; ++j) ub_[j] = kInfinity;
+    state_.assign(n_total_, VarState::kNonbasicLower);
+    basis_.resize(m_);
+    for (std::size_t i = 0; i < m_; ++i) {
+      const std::size_t h = hint[i];
+      if (h != LpProblem::kLogical && h >= n_struct_) return false;
+      const std::size_t c = h == LpProblem::kLogical ? logical_[i] : h;
+      if (state_[c] == VarState::kBasic) return false;
+      state_[c] = VarState::kBasic;
+      basis_[i] = static_cast<std::uint32_t>(c);
+    }
+    if (!refactorize()) return false;
+    compute_beta();
+    if (!primal_feasible(opt_.simplex.feasibility_tolerance)) return false;
+    stats_.crash_start = true;
+    return true;
+  }
+
+  /// Some basic artificial sits above the feasibility tolerance.
+  bool artificial_positive() const noexcept {
+    for (std::size_t i = 0; i < m_; ++i)
+      if (basis_[i] >= art_begin_ &&
+          beta_[i] > opt_.simplex.feasibility_tolerance)
+        return true;
+    return false;
   }
 
   WarmPrime try_warm_start(WarmStart* warm) {
@@ -787,6 +836,7 @@ class RevisedSimplex {
 
   SolverOptions opt_;
   double beta_clamp_ = 0.0;
+  const std::vector<std::size_t>* hint_;
   std::size_t n_struct_ = 0;
   std::size_t n_total_ = 0;
   std::size_t art_begin_ = 0;
@@ -798,6 +848,9 @@ class RevisedSimplex {
   std::vector<double> obj_;
   std::vector<double> cost_;
   std::vector<std::uint32_t> init_basis_;
+  // Each row's own logical for start-basis hints: its slack (surplus for
+  // >= rows), or its artificial for = rows.
+  std::vector<std::uint32_t> logical_;
   std::uint64_t row_signature_ = 0;
 
   std::vector<WarmStart::VarState> state_;
@@ -821,27 +874,30 @@ LpResult solve_revised(const LpProblem& problem, const SolverOptions& options,
   SolveStats first;
   LpResult result = simplex.run(warm, &first);
   if (simplex.needs_cold_retry()) {
-    // A warm basis that was accepted but collapsed mid-solve (singular
-    // refactorization, dual-simplex breakdown): retry cold once —
-    // correctness must never depend on the warm path.
+    // A warm or crash basis that was accepted but collapsed mid-solve
+    // (singular refactorization, dual-simplex breakdown): retry all-logical
+    // two-phase once — correctness must never depend on either.
     SolverOptions cold = options;
     cold.use_warm_start = false;
     RevisedSimplex cold_simplex(problem, cold);
     SolveStats retry;
-    result = cold_simplex.run(warm, &retry);
-    const WarmFallback why = first.fallback != WarmFallback::kNone
-                                 ? first.fallback
-                                 : WarmFallback::kSingularBasis;
-    // The abandoned warm run's work still happened: report the totals, and
-    // reclassify the already-recorded hit — the solve finished cold.
+    result = cold_simplex.run(warm, &retry, /*use_hint=*/false);
+    // The abandoned run's work still happened: report the totals.
     retry.pivots += first.pivots;
     retry.dual_pivots += first.dual_pivots;
+    retry.phase1_pivots += first.phase1_pivots;
     retry.refactorizations += first.refactorizations;
     retry.ft_updates += first.ft_updates;
-    retry.warm_start_attempted = true;
-    retry.fallback = why;
+    if (first.warm_start_used) {
+      // Reclassify the already-recorded hit — the solve finished cold.
+      const WarmFallback why = first.fallback != WarmFallback::kNone
+                                   ? first.fallback
+                                   : WarmFallback::kSingularBasis;
+      retry.warm_start_attempted = true;
+      retry.fallback = why;
+      if (warm) warm->demote_hit_to_miss(why);
+    }
     first = retry;
-    if (warm) warm->demote_hit_to_miss(why);
   }
   if (stats) *stats = first;
   return result;

@@ -23,12 +23,17 @@
 //    failure-masked-capacity resolve) the **dual simplex** re-optimizes it
 //    in a handful of pivots instead of falling back to a cold two-phase
 //    start. Cold fallbacks that do happen are recorded per reason in
-//    SolveStats::fallback and the WarmStart handle.
+//    SolveStats::fallback and the WarmStart handle;
+//  * without a usable warm basis, a start-basis hint attached to the
+//    problem (LpProblem::set_start_basis) crash-starts the solve: a primal
+//    feasible hint goes straight to phase 2, one that leaves artificials
+//    basic runs phase 1 from it, and anything else starts all-logical.
 //
-// The dual path is an accelerator, never an authority: after it reaches
-// primal feasibility the primal phase 2 certifies optimality, and any dual
-// breakdown (stall, numerical collapse, apparent infeasibility) reruns the
-// solve cold, so warm starts cannot change which answer is returned.
+// The dual path and the crash start are accelerators, never authorities:
+// after the dual path reaches primal feasibility the primal phase 2
+// certifies optimality, and any breakdown (stall, numerical collapse,
+// apparent infeasibility) reruns the solve all-logical two-phase, so neither
+// warm starts nor hints can change which answer is returned.
 #pragma once
 
 #include "lp/simplex.h"
@@ -71,6 +76,8 @@ struct SolveStats {
   std::size_t pivots = 0;
   /// The subset of `pivots` performed by the dual simplex.
   std::size_t dual_pivots = 0;
+  /// The subset of `pivots` spent in phase 1 (driving artificials out).
+  std::size_t phase1_pivots = 0;
   std::size_t refactorizations = 0;
   /// Forrest–Tomlin updates absorbed without a rebuild.
   std::size_t ft_updates = 0;
@@ -81,6 +88,10 @@ struct SolveStats {
   /// The warm basis was primal-infeasible and the dual simplex re-optimized
   /// it (implies warm_start_used when the solve finished warm).
   bool dual_simplex_used = false;
+  /// The cold start installed the problem's start-basis hint
+  /// (LpProblem::set_start_basis) instead of the all-logical basis. Not a
+  /// warm start: it never counts as a WarmStart hit or miss.
+  bool crash_start = false;
   /// The wall-clock budget (SolveOptions::time_limit_seconds) expired and
   /// the solve returned Status::kDeadline. Never triggers a cold retry —
   /// the budget is a hard ceiling on this attempt, and retry policy belongs

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace figret::lp {
@@ -77,6 +78,23 @@ class LpProblem {
   /// capacities, tightened budgets) that warm-started resolves are built for.
   void set_rhs(std::size_t row, double rhs);
 
+  /// Start-basis entry meaning "this row's own logical column": its slack
+  /// for an inequality row, its artificial for an equality row.
+  static constexpr std::size_t kLogical = static_cast<std::size_t>(-1);
+  /// Attaches a crash start-basis hint: one basic column per row, either a
+  /// structural variable index or kLogical. The revised engine installs it
+  /// on a cold solve (no compatible warm basis): a primal feasible hint goes
+  /// straight to phase 2, one that leaves artificials above zero runs phase
+  /// 1 from it, and a singular, infeasible, or wrong-length hint falls back
+  /// to the all-logical two-phase start. The dense tableau ignores it. An
+  /// empty vector clears the hint.
+  void set_start_basis(std::vector<std::size_t> basis) {
+    start_basis_ = std::move(basis);
+  }
+  const std::vector<std::size_t>& start_basis() const noexcept {
+    return start_basis_;
+  }
+
   std::size_t num_variables() const noexcept { return obj_.size(); }
   std::size_t num_constraints() const noexcept { return rows_.size(); }
 
@@ -94,6 +112,7 @@ class LpProblem {
   std::vector<double> obj_;
   std::vector<double> ub_;
   std::vector<Row> rows_;
+  std::vector<std::size_t> start_basis_;
 };
 
 struct SolveOptions {

@@ -30,13 +30,29 @@ lp::LpProblem build_mlu_lp(const PathSet& ps,
   }
   const std::size_t u_var = prob.add_variable(1.0);  // minimize U
 
+  // Crash start basis (lp::LpProblem::set_start_basis), one entry per row:
+  // each pair routes all its demand on one live path whose ratio may reach
+  // 1; U is basic in the row of the most utilized edge under that routing
+  // and every other edge row keeps its slack. This basis is primal feasible,
+  // so a cold solve skips phase 1. A pair whose caps admit no single path
+  // keeps its artificial, and phase 1 runs from the crash basis.
+  std::vector<std::size_t> start;
+  std::vector<std::size_t> crash_path(ps.num_pairs(), kDead);
+
   // Conservation: each pair's live ratios sum to 1.
   for (std::size_t pr = 0; pr < ps.num_pairs(); ++pr) {
     std::vector<lp::Term> row;
-    for (std::size_t p = ps.pair_begin(pr); p < ps.pair_end(pr); ++p)
-      if (var_of_path[p] != kDead) row.push_back({var_of_path[p], 1.0});
+    for (std::size_t p = ps.pair_begin(pr); p < ps.pair_end(pr); ++p) {
+      if (var_of_path[p] == kDead) continue;
+      row.push_back({var_of_path[p], 1.0});
+      if (crash_path[pr] == kDead &&
+          prob.upper_bounds()[var_of_path[p]] >= 1.0)
+        crash_path[pr] = p;
+    }
     if (row.empty()) continue;  // disconnected pair under failures
     prob.add_constraint(std::move(row), lp::Relation::kEq, 1.0);
+    start.push_back(crash_path[pr] == kDead ? lp::LpProblem::kLogical
+                                            : var_of_path[crash_path[pr]]);
   }
 
   // Capacity: per edge, sum_{p through e} D_sd(p) r_p - U c_e <= 0.
@@ -45,20 +61,33 @@ lp::LpProblem build_mlu_lp(const PathSet& ps,
   // only on (path set, alive mask), never on the demand values. That keeps
   // consecutive snapshots signature-compatible for lp::WarmStart re-priming
   // (sparse DC traces zero out many pairs per snapshot).
+  std::size_t u_row = kDead;
+  double max_util = -1.0;
   for (net::EdgeId e = 0; e < ps.num_edges(); ++e) {
     std::vector<lp::Term> row;
     bool has_live_path = false;
+    double crash_load = 0.0;
     for (std::uint32_t pid : ps.paths_on_edge(e)) {
       if (var_of_path[pid] == kDead) continue;
       has_live_path = true;
-      const double d = demand[ps.pair_of_path(pid)];
+      const std::size_t pr = ps.pair_of_path(pid);
+      const double d = demand[pr];
       if (d == 0.0) continue;
       row.push_back({var_of_path[pid], d});
+      if (crash_path[pr] == pid) crash_load += d;
     }
     if (!has_live_path) continue;
-    row.push_back({u_var, -ps.edge_capacity(e)});
+    const double cap = ps.edge_capacity(e);
+    if (crash_load / cap > max_util) {
+      max_util = crash_load / cap;
+      u_row = start.size();
+    }
+    row.push_back({u_var, -cap});
     prob.add_constraint(std::move(row), lp::Relation::kLessEq, 0.0);
+    start.push_back(lp::LpProblem::kLogical);
   }
+  if (u_row != kDead) start[u_row] = u_var;
+  prob.set_start_basis(std::move(start));
   if (var_of_path_out) *var_of_path_out = std::move(var_of_path);
   return prob;
 }

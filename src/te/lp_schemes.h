@@ -40,8 +40,11 @@ struct MluLpResult {
 
 /// Builds the MLU LP (Appendix B):  min U  over split ratios on the candidate
 /// paths. `var_of_path` (optional out) maps path id -> LP variable index,
-/// with SIZE_MAX for paths excluded by `alive`. Exposed separately from
-/// solve_mlu_lp so tests can verify duality certificates on the real TE LPs.
+/// with SIZE_MAX for paths excluded by `alive`. The problem carries a
+/// primal-feasible start-basis hint (one live path per pair at ratio 1, U
+/// basic on the most utilized edge), so cold revised solves skip phase 1.
+/// Exposed separately from solve_mlu_lp so tests can verify duality
+/// certificates on the real TE LPs.
 lp::LpProblem build_mlu_lp(const PathSet& ps,
                            const traffic::DemandMatrix& demand,
                            const std::vector<double>* ratio_cap = nullptr,
