@@ -1,6 +1,8 @@
 // Serving-loop benchmark: sweep worker counts x arrival rates on the
 // ToR-WEB fabric and report per-stage latency percentiles (p50/p99/p999),
 // sustained throughput, SLO violations, and steady-state heap allocations.
+// One extra max-rate run serves a fat-tree k=4 trace at 1% active pairs,
+// so the audit also covers the MLP's sparse first-layer gather.
 //
 // The zero-allocation claim is measured, not assumed: this TU replaces the
 // global operator new/delete with counting wrappers, warms the pipeline up
@@ -24,9 +26,11 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "net/fabric.h"
 #include "te/figret.h"
 #include "te/serving_loop.h"
 #include "traffic/feed.h"
+#include "traffic/generators.h"
 #include "util/json.h"
 #include "util/parallel.h"
 #include "util/table.h"
@@ -60,6 +64,7 @@ using namespace figret;
 using Clock = std::chrono::steady_clock;
 
 struct RunResult {
+  std::string scenario;
   std::size_t workers = 0;
   double rate = 0.0;  // offered snapshots/s; 0 = as fast as accepted
   std::uint64_t served = 0;
@@ -146,6 +151,7 @@ RunResult run_config(const bench::Scenario& sc,
 
   const auto s = loop.stats().snapshot();
   RunResult r;
+  r.scenario = sc.name;
   r.workers = workers;
   r.rate = rate;
   r.served = s.served;
@@ -164,6 +170,43 @@ RunResult run_config(const bench::Scenario& sc,
 
 std::string fmt_ms(double seconds) { return util::fmt(seconds * 1e3, 3); }
 
+// Sparse-demand scenario: fat-tree k=4 with 1% of pairs active, so each
+// advisor input window sits far below Mlp::forward's sparse bound.
+bench::Scenario sparse_fabric_scenario() {
+  const net::FatTree ft = net::fat_tree(4);
+  bench::Scenario sc;
+  sc.name = "fat-tree-k4";
+  sc.note = "fat-tree k=4, 1% active pairs (sparse first layer)";
+  sc.graph = ft.graph;
+  sc.ps = te::PathSet::build(ft.graph, net::fat_tree_paths(ft, 4));
+  traffic::FabricOptions fo;
+  fo.active_fraction = 0.01;
+  sc.trace = traffic::fabric_trace(ft.graph.num_nodes(), 200, 53, fo);
+  return sc;
+}
+
+// Trains FIGRET once on the first 3/4 of the trace and ships the checkpoint
+// to `copies` advisor instances (one per worker).
+std::vector<std::unique_ptr<te::FigretScheme>> train_advisors(
+    const bench::Scenario& sc, const te::FigretOptions& fopt,
+    std::size_t copies, double& train_seconds) {
+  auto trained = std::make_unique<te::FigretScheme>(sc.ps, fopt);
+  const auto t0 = Clock::now();
+  trained->fit(sc.trace.slice(0, sc.trace.size() * 3 / 4));
+  train_seconds = seconds_since(t0);
+  std::stringstream checkpoint;
+  trained->save(checkpoint);
+  std::vector<std::unique_ptr<te::FigretScheme>> schemes;
+  schemes.push_back(std::move(trained));
+  for (std::size_t i = 1; i < copies; ++i) {
+    auto clone = std::make_unique<te::FigretScheme>(sc.ps, fopt);
+    std::stringstream is(checkpoint.str());
+    clone->load(is);
+    schemes.push_back(std::move(clone));
+  }
+  return schemes;
+}
+
 }  // namespace
 
 int main() {
@@ -171,7 +214,8 @@ int main() {
       std::cout, "Serving loop — streaming latency and throughput",
       "run-to-completion workers over lock-free rings serve ToR-scale "
       "snapshots with zero steady-state allocations (oracle off)",
-      "scaled ToR-WEB fabric; FIGRET advisor cloned per worker");
+      "scaled ToR-WEB fabric; FIGRET advisor cloned per worker; plus one "
+      "max-rate fat-tree k=4 run at 1% active pairs (sparse demand)");
 
   bench::Scenario sc = bench::make_scenario("ToR-WEB");
   const bool full = bench::full_mode();
@@ -191,20 +235,8 @@ int main() {
   fopt.hidden = prof.hidden;
   fopt.epochs = prof.epochs;
   fopt.robust_weight = prof.robust_weight;
-  auto trained = std::make_unique<te::FigretScheme>(sc.ps, fopt);
-  const auto t0 = Clock::now();
-  trained->fit(sc.trace.slice(0, sc.trace.size() * 3 / 4));
-  const double train_seconds = seconds_since(t0);
-  std::stringstream checkpoint;
-  trained->save(checkpoint);
-  std::vector<std::unique_ptr<te::FigretScheme>> schemes;
-  schemes.push_back(std::move(trained));
-  for (std::size_t i = 1; i < max_workers; ++i) {
-    auto clone = std::make_unique<te::FigretScheme>(sc.ps, fopt);
-    std::stringstream is(checkpoint.str());
-    clone->load(is);
-    schemes.push_back(std::move(clone));
-  }
+  double train_seconds = 0.0;
+  auto schemes = train_advisors(sc, fopt, max_workers, train_seconds);
   std::cout << "FIGRET trained in " << util::fmt(train_seconds, 2)
             << "s; serving " << sc.trace.size() - sc.trace.size() * 3 / 4
             << "-snapshot test range, " << passes << " measured passes\n\n";
@@ -222,11 +254,22 @@ int main() {
       runs.push_back(
           run_config(sc, schemes, w, rate, passes, slo_seconds));
 
-  util::Table t({"workers", "rate (snap/s)", "served", "throughput (snap/s)",
-                 "serve p50 (ms)", "serve p99 (ms)", "serve p999 (ms)",
-                 "queue p99 (ms)", "SLO viol (50ms)", "steady allocs"});
+  const bench::Scenario sparse_sc = sparse_fabric_scenario();
+  double sparse_train_seconds = 0.0;
+  auto sparse_schemes =
+      train_advisors(sparse_sc, fopt, 1, sparse_train_seconds);
+  runs.push_back(
+      run_config(sparse_sc, sparse_schemes, 1, 0.0, passes, slo_seconds));
+  std::cout << sparse_sc.name << ": FIGRET trained in "
+            << util::fmt(sparse_train_seconds, 2) << "s; " << sparse_sc.note
+            << "\n\n";
+
+  util::Table t({"scenario", "workers", "rate (snap/s)", "served",
+                 "throughput (snap/s)", "serve p50 (ms)", "serve p99 (ms)",
+                 "serve p999 (ms)", "queue p99 (ms)", "SLO viol (50ms)",
+                 "steady allocs"});
   for (const RunResult& r : runs)
-    t.add_row({std::to_string(r.workers),
+    t.add_row({r.scenario, std::to_string(r.workers),
                r.rate <= 0.0 ? "max" : util::fmt(r.rate, 0),
                std::to_string(r.served), util::fmt(r.throughput, 1),
                fmt_ms(r.serve_p50), fmt_ms(r.serve_p99),
@@ -256,7 +299,8 @@ int main() {
   util::Json arr = util::Json::array();
   for (const RunResult& r : runs) {
     util::Json o = util::Json::object();
-    o.set("workers", static_cast<std::int64_t>(r.workers))
+    o.set("scenario", r.scenario)
+        .set("workers", static_cast<std::int64_t>(r.workers))
         .set("rate_snapshots_per_s", r.rate)
         .set("served", static_cast<std::int64_t>(r.served))
         .set("wall_seconds", r.wall_seconds)

@@ -358,6 +358,29 @@ void matvec_into(const Matrix& a, std::span<const double> x,
 }
 
 FIGRET_ISA_CLONES
+void matvec_sparse_into(const Matrix& a, std::span<const std::size_t> idx,
+                        std::span<const double> val, std::vector<double>& y) {
+  if (idx.size() != val.size())
+    throw std::invalid_argument("matvec_sparse_into: idx/val size mismatch");
+  for (std::size_t n = 0; n < idx.size(); ++n)
+    if (idx[n] >= a.cols() || (n > 0 && idx[n] <= idx[n - 1]))
+      throw std::invalid_argument(
+          "matvec_sparse_into: indices must be ascending and < cols");
+  y.resize(a.rows());
+  // Each product lands in lane idx % kLanes in ascending index order: the
+  // lane chains of dot_lanes minus the x == 0 terms. Those terms are +-0
+  // (finite weights), and adding +-0 to a chain that starts at +0 changes
+  // nothing, so y[i] is bit-identical to the dense dot.
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const double* row = a.row(i).data();
+    double c[kLanes] = {0.0};
+    for (std::size_t n = 0; n < idx.size(); ++n)
+      c[idx[n] % kLanes] += row[idx[n]] * val[n];
+    y[i] = lanes_tree(c);
+  }
+}
+
+FIGRET_ISA_CLONES
 double dot(std::span<const double> a, std::span<const double> b) noexcept {
   return dot_lanes(a.data(), b.data(), std::min(a.size(), b.size()));
 }

@@ -12,6 +12,8 @@
 // The pre-optimization kernels survive as the *_reference variants: they are
 // the differential-test oracles and the bench baselines, and matmul_reference
 // keeps the zero-skip branch for sparsity-heavy callers that want it.
+// Callers with a mostly-zero vector operand use matvec_sparse_into, which
+// reads only the nonzero columns and still matches matvec_into bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -102,6 +104,16 @@ std::vector<double> matvec(const Matrix& a, std::span<const double> x);
 /// same order as dot(a.row(i), x).
 void matvec_into(const Matrix& a, std::span<const double> x,
                  std::vector<double>& y);
+
+/// matvec_into for a sparse x given as ascending column indices `idx` and
+/// their values `val`: reads only those columns of each row. With finite
+/// entries in `a`, y is bit-identical to matvec_into on the densified x —
+/// each product goes to the same lane in the same order, and the skipped
+/// terms are +-0. An Inf/NaN in a skipped column is the one difference (the
+/// dense product would be NaN). Throws std::invalid_argument on unsorted,
+/// duplicate or out-of-range indices.
+void matvec_sparse_into(const Matrix& a, std::span<const std::size_t> idx,
+                        std::span<const double> val, std::vector<double>& y);
 
 /// Dot product over the common prefix of the two spans. Sixteen independent
 /// accumulator chains (lanes k%16), combined by a fixed pairwise tree — the

@@ -7,6 +7,35 @@
 #include "util/rng.h"
 
 namespace figret::nn {
+namespace {
+
+// Layer 0 reads only the input's nonzero weight columns when that is
+// cheaper. A dense row costs cols / 8 cache lines (8 doubles per 64-byte
+// line); a gathered weight costs one line each. So the gather wins while
+// nnz <= cols / 8, i.e. nnz * 8 <= cols.
+constexpr std::size_t kDoublesPerCacheLine = 8;
+
+// Writes x's nonzeros to ws.nz_idx/nz_val and their count to `nnz`. Returns
+// false as soon as the count passes the sparse bound, so a dense input pays
+// only for a short prefix scan. The buffers are sized to the bound, so the
+// scan never allocates after the first call.
+bool gather_nonzeros(std::span<const double> x, MlpWorkspace& ws,
+                     std::size_t& nnz) {
+  const std::size_t bound = x.size() / kDoublesPerCacheLine;
+  ws.nz_idx.resize(bound);
+  ws.nz_val.resize(bound);
+  nnz = 0;
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    if (x[k] == 0.0) continue;
+    if (nnz == bound) return false;
+    ws.nz_idx[nnz] = k;
+    ws.nz_val[nnz] = x[k];
+    ++nnz;
+  }
+  return true;
+}
+
+}  // namespace
 
 double sigmoid(double x) noexcept {
   if (x >= 0.0) {
@@ -60,8 +89,13 @@ std::span<const double> Mlp::forward(std::span<const double> x,
     const linalg::Matrix& w = weight_[l];
     auto& pre = ws.pre[l];
     // Same reduction order as the batched matmul_t kernel, so forward_batch
-    // rows stay bit-identical to this path.
-    linalg::matvec_into(w, in, pre);
+    // rows stay bit-identical to this path; the sparse kernel keeps it too.
+    std::size_t nnz = 0;
+    if (l == 0 && gather_nonzeros(x, ws, nnz))
+      linalg::matvec_sparse_into(w, {ws.nz_idx.data(), nnz},
+                                 {ws.nz_val.data(), nnz}, pre);
+    else
+      linalg::matvec_into(w, in, pre);
     const std::vector<double>& b = bias_[l];
     for (std::size_t r = 0; r < pre.size(); ++r) pre[r] += b[r];
 

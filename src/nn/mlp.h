@@ -37,6 +37,9 @@ struct MlpGradients {
 struct MlpWorkspace {
   std::vector<std::vector<double>> pre;   // pre-activation per layer
   std::vector<std::vector<double>> post;  // post-activation per layer
+  // Layer-0 input nonzeros (ascending index, value) for the sparse path.
+  std::vector<std::size_t> nz_idx;
+  std::vector<double> nz_val;
 };
 
 /// Scratch for a minibatch pass: one [batch x width] matrix per layer.
@@ -56,7 +59,10 @@ class Mlp {
   std::size_t num_parameters() const noexcept;
 
   /// Forward pass; the returned span aliases ws.post.back() and remains valid
-  /// until the next forward() with the same workspace.
+  /// until the next forward() with the same workspace. When x has at most
+  /// input_size() / 8 nonzeros, layer 0 reads only their weight columns
+  /// (linalg::matvec_sparse_into); with finite weights the result is
+  /// bit-identical to the dense pass.
   std::span<const double> forward(std::span<const double> x,
                                   MlpWorkspace& ws) const;
 

@@ -1,5 +1,7 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -35,10 +37,24 @@ std::uint64_t read_u64(std::istream& is) {
   if (!is) throw std::runtime_error("load_mlp: truncated input");
   return v;
 }
-void read_doubles(std::istream& is, std::span<double> xs) {
-  is.read(reinterpret_cast<char*>(xs.data()),
-          static_cast<std::streamsize>(xs.size() * sizeof(double)));
-  if (!is) throw std::runtime_error("load_mlp: truncated parameters");
+// Reads one layer's parameters and rejects NaN/Inf: Mlp::forward's sparse
+// first layer matches the dense pass only for finite weights. Reads in
+// cache-sized chunks so each is checked while still hot; a second sweep
+// over a fabric-sized layer would stream it from memory again.
+void read_finite_doubles(std::istream& is, std::span<double> xs,
+                         std::size_t layer, const char* what) {
+  constexpr std::size_t kChunk = 4096;
+  for (std::size_t i0 = 0; i0 < xs.size(); i0 += kChunk) {
+    const std::span<double> chunk =
+        xs.subspan(i0, std::min(kChunk, xs.size() - i0));
+    is.read(reinterpret_cast<char*>(chunk.data()),
+            static_cast<std::streamsize>(chunk.size() * sizeof(double)));
+    if (!is) throw std::runtime_error("load_mlp: truncated parameters");
+    for (const double v : chunk)
+      if (!std::isfinite(v))
+        throw std::runtime_error("load_mlp: non-finite " + std::string(what) +
+                                 " in layer " + std::to_string(layer));
+  }
 }
 
 }  // namespace
@@ -90,8 +106,8 @@ Mlp load_mlp(std::istream& is) {
 
   Mlp model(cfg);
   for (std::size_t l = 0; l < model.num_layers(); ++l) {
-    read_doubles(is, model.weights()[l].flat());
-    read_doubles(is, model.biases()[l]);
+    read_finite_doubles(is, model.weights()[l].flat(), l, "weight");
+    read_finite_doubles(is, model.biases()[l], l, "bias");
   }
   return model;
 }

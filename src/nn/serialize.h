@@ -21,7 +21,8 @@ void save_mlp(const Mlp& model, std::ostream& os);
 void save_mlp_file(const Mlp& model, const std::string& path);
 
 /// Reads a model previously written by save_mlp. Throws std::runtime_error
-/// on malformed input (bad magic, version, or truncation).
+/// on malformed input (bad magic, version, truncation, or a NaN/Inf weight
+/// or bias).
 Mlp load_mlp(std::istream& is);
 Mlp load_mlp_file(const std::string& path);
 

@@ -1,6 +1,7 @@
 #include "te/figret.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 
@@ -208,6 +209,9 @@ void FigretScheme::load(std::istream& is) {
     throw std::runtime_error("FigretScheme::load: unsupported version");
   const auto history = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
   const double scale = read_pod<double>(is);
+  if (!std::isfinite(scale) || scale <= 0.0)
+    throw std::runtime_error(
+        "FigretScheme::load: input scale must be finite and positive");
   const auto n_weights = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
   if (n_weights != ps_->num_pairs())
     throw std::runtime_error(
@@ -216,6 +220,9 @@ void FigretScheme::load(std::istream& is) {
   is.read(reinterpret_cast<char*>(weights.data()),
           static_cast<std::streamsize>(n_weights * sizeof(double)));
   if (!is) throw std::runtime_error("FigretScheme::load: truncated weights");
+  for (const double w : weights)
+    if (!std::isfinite(w))
+      throw std::runtime_error("FigretScheme::load: non-finite pair weight");
 
   nn::Mlp loaded = nn::load_mlp(is);
   if (loaded.input_size() != history * ps_->num_pairs() ||

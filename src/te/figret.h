@@ -71,7 +71,9 @@ class FigretScheme final : public TeScheme {
   /// Persists the full trained state (model, input scale, pair weights) so
   /// a controller can ship without retraining (§6: retraining is rare).
   /// save() requires a fitted scheme; load() replaces the current state and
-  /// validates the checkpoint against this scheme's PathSet dimensions.
+  /// validates the checkpoint against this scheme's PathSet dimensions. It
+  /// rejects a non-finite or non-positive input scale and any NaN/Inf pair
+  /// weight or model parameter.
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
   void load(std::istream& is);

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 
+#include "net/fabric.h"
 #include "net/topology.h"
 #include "net/yen.h"
 #include "te/lp_schemes.h"
@@ -250,6 +256,115 @@ TEST(Figret, LoadRejectsGarbage) {
   std::stringstream buffer;
   buffer << "not a checkpoint";
   EXPECT_THROW(scheme.load(buffer), std::runtime_error);
+}
+
+// Overwrites the double at byte `offset` of a serialized checkpoint.
+std::string patch_double(std::string blob, std::size_t offset, double v) {
+  std::memcpy(blob.data() + offset, &v, sizeof v);
+  return blob;
+}
+
+TEST(Figret, LoadRejectsNonFiniteScaleWeightsAndParameters) {
+  const PathSet ps = mesh_pathset(4);
+  FigretScheme trained(ps, fast_options());
+  trained.fit(traffic::dc_tor_trace(4, 60, 29));
+  std::stringstream buffer;
+  trained.save(buffer);
+  const std::string blob = buffer.str();
+
+  // Scheme header: magic, u32 version, u64 history, f64 input scale,
+  // u64 pair count, pair weights; the load_mlp blob follows.
+  const std::size_t scale_at = 4 + 4 + 8;
+  const std::size_t weights_at = scale_at + 8 + 8;
+  const std::size_t mlp_at = weights_at + 8 * ps.num_pairs();
+  // Model header: magic, u32 version, u32 size count, u64 sizes, u32 tag;
+  // then layer 0's weights, row-major.
+  const std::size_t sizes = trained.model().num_layers() + 1;
+  const std::size_t w0_at = mlp_at + 4 + 4 + 4 + 8 * sizes + 4;
+  const std::size_t cols = trained.model().input_size();
+
+  // Each corruption must be caught by its own check, named in the message.
+  const auto rejects = [&](const std::string& bad, const std::string& msg) {
+    FigretScheme fresh(ps, fast_options());
+    std::stringstream is(bad);
+    try {
+      fresh.load(is);
+      ADD_FAILURE() << "accepted a checkpoint with " << msg;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(msg), std::string::npos)
+          << e.what();
+    }
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::string bad_scale = "input scale must be finite and positive";
+  rejects(patch_double(blob, scale_at, 0.0), bad_scale);
+  rejects(patch_double(blob, scale_at, -1.0), bad_scale);
+  rejects(patch_double(blob, scale_at, inf), bad_scale);
+  rejects(patch_double(blob, scale_at, nan), bad_scale);
+  rejects(patch_double(blob, weights_at + 8, nan), "non-finite pair weight");
+  // NaN in first-layer column 3, row 1.
+  rejects(patch_double(blob, w0_at + 8 * (cols + 3), nan),
+          "non-finite weight in layer 0");
+
+  // The unpatched checkpoint still loads.
+  FigretScheme fresh(ps, fast_options());
+  std::stringstream is(blob);
+  EXPECT_NO_THROW(fresh.load(is));
+}
+
+TEST(Figret, AdviseIntoOnSparseFabricMatchesForwardBatch) {
+  // Fat-tree k=4 at 1% active pairs: the input window is far below the
+  // sparse first-layer bound, so advise_into's forward() gathers weight
+  // columns; it must equal the always-dense forward_batch bit for bit.
+  const net::FatTree ft = net::fat_tree(4);
+  const PathSet ps = PathSet::build(ft.graph, net::fat_tree_paths(ft, 4));
+  traffic::FabricOptions fo;
+  fo.active_fraction = 0.01;
+  const auto trace = traffic::fabric_trace(ft.graph.num_nodes(), 40, 47, fo);
+  const FigretOptions opt = fast_options();
+  FigretScheme scheme(ps, opt);
+  const auto train = trace.slice(0, 30);
+  scheme.fit(train);
+
+  // The model input, built as FigretScheme does: window of H snapshots,
+  // most recent last, scaled by the training set's peak demand.
+  double scale = 1e-12;
+  for (const auto& dm : train.snapshots) scale = std::max(scale, dm.max_value());
+  const std::size_t pairs = ps.num_pairs();
+  const std::size_t cols = opt.history * pairs;
+  ASSERT_EQ(scheme.model().input_size(), cols);
+  const std::size_t first = 30, last = trace.size();
+  linalg::Matrix x(last - first, cols);
+  for (std::size_t t = first; t < last; ++t) {
+    std::size_t nnz = 0;
+    for (std::size_t h = 0; h < opt.history; ++h)
+      trace[t - opt.history + h].for_each_active([&](std::size_t p, double v) {
+        x(t - first, h * pairs + p) = v / scale;
+        ++nnz;
+      });
+    ASSERT_LE(nnz * 8, cols) << "window " << t << " is not sparse";
+  }
+  nn::MlpBatchWorkspace bws;
+  const linalg::Matrix& sig = scheme.model().forward_batch(x, bws);
+
+  nn::MlpWorkspace ws;
+  TeConfig served, expected;
+  for (std::size_t t = first; t < last; ++t) {
+    scheme.model().forward(x.row(t - first), ws);
+    for (std::size_t i = 0; i < ws.pre[0].size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ws.pre[0][i]),
+                std::bit_cast<std::uint64_t>(bws.pre[0](t - first, i)))
+          << "window " << t << " layer-0 unit " << i;
+    scheme.advise_into({trace.snapshots.data() + t - opt.history, opt.history},
+                       served);
+    ratios_from_sigmoid_into(ps, sig.row(t - first), expected);
+    ASSERT_EQ(served.size(), expected.size());
+    for (std::size_t p = 0; p < served.size(); ++p)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(served[p]),
+                std::bit_cast<std::uint64_t>(expected[p]))
+          << "window " << t << " path " << p;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -288,6 +293,83 @@ TEST(Mlp, ForwardBatchRejectsWrongWidth) {
   MlpBatchWorkspace bws;
   const linalg::Matrix bad(2, 5);
   EXPECT_THROW(m.forward_batch(bad, bws), std::invalid_argument);
+}
+
+// An input row with `nnz` nonzeros in (0, 1] at random distinct columns and
+// `fill` (+0 or -0) everywhere else.
+std::vector<double> sparse_row(std::size_t cols, std::size_t nnz, double fill,
+                               util::Rng& rng) {
+  std::vector<double> x(cols, fill);
+  const auto perm = rng.permutation(cols);
+  for (std::size_t i = 0; i < nnz; ++i) x[perm[i]] = rng.uniform(0.01, 1.0);
+  return x;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Mlp, SparseInputForwardMatchesForwardBatchBitExactly) {
+  // 2600 inputs: past the 2048 k-tile, so forward_batch takes the chunked
+  // matmul_t path. The sparse bound is 2600 / 8 = 325 nonzeros.
+  MlpConfig cfg;
+  cfg.layer_sizes = {2600, 24, 16, 9};
+  cfg.seed = 31;
+  const Mlp m(cfg);
+  const std::size_t cols = m.input_size();
+  const std::size_t bound = cols / 8;
+
+  util::Rng rng(37);
+  const std::vector<std::vector<double>> rows = {
+      std::vector<double>(cols, 0.0),    // nnz = 0
+      sparse_row(cols, 26, 0.0, rng),    // ~1% dense
+      sparse_row(cols, 26, -0.0, rng),   // ~1%, the zeros signed negative
+      sparse_row(cols, bound, 0.0, rng),      // at the bound: sparse path
+      sparse_row(cols, bound + 1, 0.0, rng),  // just above: dense path
+      sparse_row(cols, cols, 0.0, rng),       // fully dense
+  };
+  linalg::Matrix x(rows.size(), cols);
+  for (std::size_t b = 0; b < rows.size(); ++b)
+    std::copy(rows[b].begin(), rows[b].end(), x.row(b).begin());
+
+  MlpBatchWorkspace bws;
+  const linalg::Matrix& y = m.forward_batch(x, bws);
+  MlpWorkspace ws;
+  for (std::size_t b = 0; b < rows.size(); ++b) {
+    const auto yb = m.forward(rows[b], ws);
+    for (std::size_t i = 0; i < ws.pre[0].size(); ++i)
+      EXPECT_EQ(bits(ws.pre[0][i]), bits(bws.pre[0](b, i)))
+          << "row " << b << " layer-0 unit " << i;
+    for (std::size_t j = 0; j < m.output_size(); ++j)
+      EXPECT_EQ(bits(yb[j]), bits(y(b, j))) << "row " << b << " output " << j;
+  }
+}
+
+TEST(Mlp, SparseFirstLayerFollowsDensityBound) {
+  // An Inf weight column under a zero input tells the paths apart: the
+  // dense dot computes Inf * 0 = NaN, the sparse gather never reads it.
+  // (This is why load_mlp rejects non-finite weights.)
+  MlpConfig cfg;
+  cfg.layer_sizes = {800, 8, 3};
+  cfg.seed = 41;
+  Mlp m(cfg);
+  const std::size_t bound = m.input_size() / 8;
+  util::Rng rng(43);
+  auto x = sparse_row(m.input_size(), bound + 1, 0.0, rng);
+  std::size_t zero_col = 0;
+  while (x[zero_col] != 0.0) ++zero_col;
+  for (std::size_t r = 0; r < m.weights()[0].rows(); ++r)
+    m.weights()[0](r, zero_col) = std::numeric_limits<double>::infinity();
+
+  MlpWorkspace ws;
+  m.forward(x, ws);  // bound + 1 nonzeros: dense
+  for (const double v : ws.pre[0]) EXPECT_TRUE(std::isnan(v));
+
+  for (std::size_t k = x.size(); k-- > 0;)
+    if (x[k] != 0.0) {
+      x[k] = 0.0;  // drop one nonzero: exactly at the bound, sparse
+      break;
+    }
+  m.forward(x, ws);
+  for (const double v : ws.pre[0]) EXPECT_TRUE(std::isfinite(v));
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "util/rng.h"
@@ -76,6 +78,40 @@ TEST(Serialize, TruncatedInputRejected) {
 TEST(Serialize, EmptyInputRejected) {
   std::stringstream buffer;
   EXPECT_THROW(load_mlp(buffer), std::runtime_error);
+}
+
+TEST(Serialize, NonFiniteParametersRejected) {
+  // Mlp::forward's sparse first layer skips the weight columns under zero
+  // inputs; that matches the dense pass only when every weight is finite.
+  const auto rejects = [](Mlp m) {
+    std::stringstream buffer;
+    save_mlp(m, buffer);
+    EXPECT_THROW(load_mlp(buffer), std::runtime_error);
+  };
+  Mlp nan_in_first_layer = make_model();
+  for (std::size_t r = 0; r < nan_in_first_layer.weights()[0].rows(); ++r)
+    nan_in_first_layer.weights()[0](r, 2) =
+        std::numeric_limits<double>::quiet_NaN();
+  rejects(nan_in_first_layer);
+  Mlp inf_weight = make_model();
+  inf_weight.weights()[1](3, 4) = -std::numeric_limits<double>::infinity();
+  rejects(inf_weight);
+  Mlp nan_bias = make_model();
+  nan_bias.biases()[2][0] = std::numeric_limits<double>::quiet_NaN();
+  rejects(nan_bias);
+
+  Mlp planted = make_model();
+  planted.weights()[0](0, 1) = std::numeric_limits<double>::quiet_NaN();
+  std::stringstream buffer;
+  save_mlp(planted, buffer);
+  try {
+    load_mlp(buffer);
+    FAIL() << "expected load_mlp to reject a NaN weight";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite weight in layer 0"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Serialize, MissingFileRejected) {
