@@ -198,6 +198,8 @@ int main(int argc, char** argv) {
   // crash-started from the hint te::build_mlu_lp attaches, which production
   // uses. All run serially over the same snapshots so wall-clock and pivot
   // counts are directly comparable; "ph1" is the phase-1 share of pivots.
+  // "setup" and "fact" split the crash and warm solves' fixed cost per solve:
+  // building the engine's CSC standard form, and LU factorizations.
   std::cout << "\nLP engines on the omniscient-normalizer sweep "
             << "(serial, same snapshots):\n";
   // "warm hits" counts accepted probes over probes actually made (the first
@@ -205,7 +207,8 @@ int main(int argc, char** argv) {
   // probes after persistent misses — neither is a rejection).
   util::Table et({"network", "solves", "dense (s)", "dense pivots",
                   "two-phase (s)", "two-phase pivots", "ph1", "crash (s)",
-                  "crash pivots", "ph1", "warm (s)", "warm pivots",
+                  "crash pivots", "ph1", "setup (ms)", "fact (ms)",
+                  "warm (s)", "warm pivots", "setup (ms)", "fact (ms)",
                   "warm hits/probes"});
   util::Json jengines = util::Json::array();
   for (auto& ts : scenarios()) {
@@ -217,6 +220,11 @@ int main(int argc, char** argv) {
       double seconds = 0.0;
       std::size_t pivots = 0;
       std::size_t phase1_pivots = 0;
+      double setup_seconds = 0.0;
+      double factorize_seconds = 0.0;
+    };
+    auto ms_per_solve = [count](double total) {
+      return 1e3 * total / static_cast<double>(count);
     };
     auto sweep = [&](const lp::SolverOptions& opt, lp::WarmStart* warm,
                      bool hint) {
@@ -230,6 +238,8 @@ int main(int argc, char** argv) {
         if (!res.optimal()) throw std::runtime_error("engine sweep LP failed");
         run.pivots += st.pivots;
         run.phase1_pivots += st.phase1_pivots;
+        run.setup_seconds += st.setup_seconds;
+        run.factorize_seconds += st.factorize_seconds;
       }
       run.seconds = seconds_since(t0);
       return run;
@@ -248,7 +258,11 @@ int main(int argc, char** argv) {
                 std::to_string(cold.phase1_pivots),
                 util::fmt(crash.seconds, 3), std::to_string(crash.pivots),
                 std::to_string(crash.phase1_pivots),
+                util::fmt(ms_per_solve(crash.setup_seconds), 3),
+                util::fmt(ms_per_solve(crash.factorize_seconds), 3),
                 util::fmt(hot.seconds, 3), std::to_string(hot.pivots),
+                util::fmt(ms_per_solve(hot.setup_seconds), 3),
+                util::fmt(ms_per_solve(hot.factorize_seconds), 3),
                 std::to_string(warm.hits()) + "/" +
                     std::to_string(warm.hits() + warm.misses())});
     jengines.push(
@@ -265,8 +279,16 @@ int main(int argc, char** argv) {
             .set("crash_pivots", static_cast<std::int64_t>(crash.pivots))
             .set("crash_phase1_pivots",
                  static_cast<std::int64_t>(crash.phase1_pivots))
+            .set("crash_setup_ms_per_solve",
+                 ms_per_solve(crash.setup_seconds))
+            .set("crash_factorize_ms_per_solve",
+                 ms_per_solve(crash.factorize_seconds))
             .set("warm_seconds", hot.seconds)
             .set("warm_pivots", static_cast<std::int64_t>(hot.pivots))
+            .set("warm_setup_ms_per_solve",
+                 ms_per_solve(hot.setup_seconds))
+            .set("warm_factorize_ms_per_solve",
+                 ms_per_solve(hot.factorize_seconds))
             .set("warm_hits", static_cast<std::int64_t>(warm.hits()))
             .set("warm_misses", static_cast<std::int64_t>(warm.misses())));
   }

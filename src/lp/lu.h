@@ -12,7 +12,10 @@
 //  * factorize() runs a right-looking sparse elimination choosing pivots by a
 //    Markowitz-style rule — among the sparsest eligible columns, the entry
 //    with the sparsest row that passes threshold partial pivoting — so unit
-//    slack columns factor with zero fill and structural fill stays contained;
+//    slack columns factor with zero fill and structural fill stays contained.
+//    Active columns sit in per-length bitsets that elimination updates in
+//    O(1), so a step finds its column without rescanning the others, and the
+//    working storage is flat arrays reused across calls;
 //  * update() replaces one basis column: the FTRAN'd spike replaces the
 //    leaving column of U, the pivot order is cyclically rotated so U stays
 //    triangular, and the one spiked row is re-eliminated with row operations
@@ -30,6 +33,7 @@
 // row-space duals.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -95,12 +99,7 @@ class LuFactorization {
   bool update(std::uint32_t slot, double pivot_estimate);
 
  private:
-  // One elimination step's column of L: v[i] -= mult_i * v[pivot_row].
-  struct LCol {
-    std::uint32_t pivot_row = 0;
-    std::vector<std::pair<std::uint32_t, double>> mults;
-  };
-  // One Forrest–Tomlin row operation, applied after all LCols:
+  // One Forrest–Tomlin row operation, applied after all of L:
   // v[target] -= mult * v[source].
   struct REta {
     std::uint32_t target = 0;
@@ -122,14 +121,39 @@ class LuFactorization {
     std::vector<UEntry> entries;
   };
 
+  // One growable list inside a pool: elements [begin, begin + size), room up
+  // to begin + cap. A list that outgrows its room moves to the pool's end.
+  struct Extent {
+    std::size_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t cap = 0;
+  };
+
+  // Pivot-search buckets: one per column length below kLongBucket, and one
+  // shared by all longer columns, each a bitset over slots. The shared
+  // bucket keeps the bitsets' memory linear in the basis size; in the MLU
+  // LP only U's column (one entry per edge) is that long.
+  static constexpr std::uint32_t kLongBucket = 64;
+
   bool live(const UEntry& e) const noexcept {
     return e.version == colversion_[e.slot];
   }
 
+  void load_active(const SparseMatrix& A,
+                   const std::vector<std::uint32_t>& basis);
+  bool eliminate();
+  bool find_pivot(std::uint32_t& pj, std::uint32_t& pr, double& pv) const;
+  bool pivot_in_column(std::uint32_t j, std::uint32_t& pr, double& pv) const;
+  void bucket_flip(std::uint32_t j, std::uint32_t len);
+
   std::size_t m_ = 0;
   bool valid_ = false;
   Options opt_;
-  std::vector<LCol> lcols_;
+  // L, one column per elimination step k: v[row] -= mult * v[lpivot_[k]]
+  // for each (row, mult) in lmults_[lstart_[k], lstart_[k + 1]).
+  std::vector<std::uint32_t> lpivot_;
+  std::vector<std::size_t> lstart_;
+  std::vector<std::pair<std::uint32_t, double>> lmults_;
   std::vector<REta> retas_;
   std::vector<URow> urows_;            // keyed by slot
   std::vector<std::uint32_t> order_;   // slots in pivot (triangular) order
@@ -141,6 +165,23 @@ class LuFactorization {
   bool have_spike_ = false;
   std::vector<double> work_;   // ftran/btran scratch
   std::vector<double> dwork_;  // update() elimination workspace (slot space)
+
+  // factorize() working storage. Active columns' entries and the row -> slots
+  // index live in two pools. Per-slot arrays are re-initialized on entry; the
+  // bucket bitsets and the scatter workspace are left all-zero on every exit,
+  // the singular one included, so they are never cleared whole.
+  std::vector<Extent> cols_;  // slot -> its remaining entries in cpool_
+  std::vector<std::pair<std::uint32_t, double>> cpool_;
+  std::vector<Extent> rows_;  // row -> slots that may carry it, in rpool_
+  std::vector<std::uint32_t> rpool_;
+  std::vector<std::uint8_t> col_done_;
+  std::size_t words_ = 0;               // 64-bit words per bucket bitset
+  std::vector<std::uint64_t> buckets_;  // (kLongBucket + 1) x words_
+  std::array<std::uint32_t, kLongBucket + 1> bucket_count_{};
+  std::vector<double> dval_;
+  std::vector<std::uint8_t> dset_;
+  std::vector<std::uint8_t> inold_;
+  std::vector<std::uint32_t> touched_;
 };
 
 }  // namespace figret::lp

@@ -27,6 +27,12 @@ constexpr double kLuDrop = 1e-14;
 // this bound (Forrest & Goldfarb's safeguard against weight blow-up).
 constexpr double kDevexReset = 1e8;
 
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
 class RevisedSimplex {
  public:
   using VarState = WarmStart::VarState;
@@ -115,7 +121,7 @@ class RevisedSimplex {
           break;
       }
     }
-    A_ = SparseMatrix::from_triplets(m, n_total_, std::move(trip));
+    A_ = SparseMatrix::from_triplets(m, n_total_, trip);
 
     ub_.assign(n_total_, kInfinity);
     for (std::size_t j = 0; j < n; ++j) ub_[j] = p.upper_bounds()[j];
@@ -247,8 +253,11 @@ class RevisedSimplex {
   /// preserved — slots keep their meaning). False: numerically singular.
   bool refactorize() {
     ++stats_.refactorizations;
-    return lu_.factorize(A_, basis_,
-                         {kSingularTol, kRelPivotTol, kLuDrop});
+    const auto t0 = Clock::now();
+    const bool ok =
+        lu_.factorize(A_, basis_, {kSingularTol, kRelPivotTol, kLuDrop});
+    stats_.factorize_seconds += seconds_since(t0);
+    return ok;
   }
 
   /// Absorbs the pivot at `slot` (entering column FTRAN'd with
@@ -444,8 +453,7 @@ class RevisedSimplex {
 
   Status iterate(bool phase1) {
     const double piv_tol = opt_.simplex.pivot_tolerance;
-    const bool use_devex = opt_.pricing == Pricing::kDevex;
-    if (use_devex) devex_.assign(n_total_, 1.0);
+    devex_.assign(n_total_, 1.0);
     std::vector<double> y(m_, 0.0);
     std::vector<double> w(m_, 0.0);
     std::vector<double> rho(m_, 0.0);
@@ -464,7 +472,6 @@ class RevisedSimplex {
       btran(y);
       const std::size_t limit = phase1 ? n_total_ : art_begin_;
       std::size_t enter = n_total_;
-      double best = piv_tol;
       double best_score = 0.0;
       for (std::size_t j = 0; j < limit; ++j) {
         if (state_[j] == VarState::kBasic) continue;
@@ -476,14 +483,9 @@ class RevisedSimplex {
           enter = j;  // first violating index (columns scanned in order)
           break;
         }
-        if (use_devex) {
-          const double score = viol * viol / devex_[j];
-          if (score > best_score) {
-            best_score = score;
-            enter = j;
-          }
-        } else if (viol > best) {
-          best = viol;
+        const double score = viol * viol / devex_[j];
+        if (score > best_score) {
+          best_score = score;
           enter = j;
         }
       }
@@ -563,7 +565,7 @@ class RevisedSimplex {
       // pivot row alpha_j = rho' a_j with rho = B^{-T} e_leave. Candidate
       // weights grow as their alignment with the pivot row does; the leaving
       // variable re-enters the candidate pool with the transferred weight.
-      if (use_devex && !bland) {
+      if (!bland) {
         rho.assign(m_, 0.0);
         rho[leave] = 1.0;
         btran(rho);
@@ -870,24 +872,32 @@ class RevisedSimplex {
 
 LpResult solve_revised(const LpProblem& problem, const SolverOptions& options,
                        WarmStart* warm, SolveStats* stats) {
+  auto t0 = Clock::now();
   RevisedSimplex simplex(problem, options);
+  const double setup = seconds_since(t0);
   SolveStats first;
   LpResult result = simplex.run(warm, &first);
+  first.setup_seconds = setup;
   if (simplex.needs_cold_retry()) {
     // A warm or crash basis that was accepted but collapsed mid-solve
     // (singular refactorization, dual-simplex breakdown): retry all-logical
     // two-phase once — correctness must never depend on either.
     SolverOptions cold = options;
     cold.use_warm_start = false;
+    t0 = Clock::now();
     RevisedSimplex cold_simplex(problem, cold);
+    const double retry_setup = seconds_since(t0);
     SolveStats retry;
     result = cold_simplex.run(warm, &retry, /*use_hint=*/false);
+    retry.setup_seconds = retry_setup;
     // The abandoned run's work still happened: report the totals.
     retry.pivots += first.pivots;
     retry.dual_pivots += first.dual_pivots;
     retry.phase1_pivots += first.phase1_pivots;
     retry.refactorizations += first.refactorizations;
     retry.ft_updates += first.ft_updates;
+    retry.setup_seconds += first.setup_seconds;
+    retry.factorize_seconds += first.factorize_seconds;
     if (first.warm_start_used) {
       // Reclassify the already-recorded hit — the solve finished cold.
       const WarmFallback why = first.fallback != WarmFallback::kNone

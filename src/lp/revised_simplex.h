@@ -12,10 +12,10 @@
 //  * variable upper bounds are handled natively: nonbasic variables rest at
 //    either bound, the ratio test caps steps at both bounds, and bound flips
 //    cost no basis change;
-//  * pricing is devex (Forrest & Goldfarb reference weights) by default,
-//    which keeps pivot counts near steepest-edge at Dantzig cost; Bland's
-//    rule still takes over after `SolveOptions::bland_after` pivots as the
-//    anti-cycling backstop;
+//  * pricing is devex (Forrest & Goldfarb reference weights), which keeps
+//    pivot counts near steepest-edge at Dantzig cost; Bland's rule still
+//    takes over after `SolveOptions::bland_after` pivots as the anti-cycling
+//    backstop;
 //  * an optimal basis can be captured in a WarmStart handle and re-primed
 //    into the next solve. When the re-primed basis is primal feasible the
 //    solve continues with the primal simplex; when an RHS-only change left
@@ -46,12 +46,6 @@ enum class Engine {
   kRevisedSparse,  // this file
 };
 
-/// Entering-variable selection rule of the revised engine.
-enum class Pricing {
-  kDantzig,  // most violating reduced cost (the historical default)
-  kDevex,    // reduced cost scaled by devex reference weights
-};
-
 /// Engine selection plus engine-specific knobs, shared by all LP call sites.
 struct SolverOptions {
   Engine engine = Engine::kRevisedSparse;
@@ -61,16 +55,15 @@ struct SolverOptions {
   std::size_t refactor_interval = 96;
   /// Revised engine: honor a WarmStart handle when one is passed.
   bool use_warm_start = true;
-  /// Revised engine: entering-variable rule (Bland still engages after
-  /// `simplex.bland_after` pivots regardless).
-  Pricing pricing = Pricing::kDevex;
   /// Revised engine: re-optimize a primal-infeasible warm basis with the
   /// dual simplex instead of discarding it. Off, every RHS-only change
   /// falls back cold (the pre-dual behavior, kept for A/B benches).
   bool dual_warm_start = true;
 };
 
-/// Per-solve observability (pivot counts for Table-2-style benches).
+/// Per-solve observability (pivot counts and per-phase timers for
+/// Table-2-style benches). Counters and timers cover the cold retry too.
+/// The dense engine reports `pivots` only.
 struct SolveStats {
   /// All basis changes and bound flips, primal and dual phases combined.
   std::size_t pivots = 0;
@@ -81,6 +74,11 @@ struct SolveStats {
   std::size_t refactorizations = 0;
   /// Forrest–Tomlin updates absorbed without a rebuild.
   std::size_t ft_updates = 0;
+  /// Wall time building the engine's standard form (problem -> CSC matrix,
+  /// right-hand sides, bounds), once per attempt.
+  double setup_seconds = 0.0;
+  /// Wall time in LU factorizations, summed over every refactorization.
+  double factorize_seconds = 0.0;
   bool warm_start_attempted = false;
   /// The warm basis was accepted and the solve finished from it (via the
   /// primal path or the dual path — see `dual_simplex_used`).

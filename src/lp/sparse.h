@@ -22,14 +22,17 @@ struct Triplet {
   double value = 0.0;
 };
 
-/// Immutable CSC matrix. Duplicate (row, col) triplets are accumulated at
-/// build time; explicit zeros are dropped.
+/// Immutable CSC matrix. Duplicate (row, col) triplets are summed in their
+/// input order at build time; explicit zeros and sums that cancel to zero are
+/// dropped.
 class SparseMatrix {
  public:
   SparseMatrix() = default;
 
+  /// Builds the CSC matrix in O(nnz + rows + cols), rows ascending within
+  /// each column. Throws std::out_of_range for a triplet outside the shape.
   static SparseMatrix from_triplets(std::size_t rows, std::size_t cols,
-                                    std::vector<Triplet> triplets);
+                                    const std::vector<Triplet>& triplets);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
