@@ -22,20 +22,6 @@ const char* to_string(WarmFallback fallback) noexcept {
   return "unknown";
 }
 
-void WarmStart::clear() {
-  num_vars_ = 0;
-  num_cols_ = 0;
-  row_signature_ = 0;
-  state_.clear();
-  basis_.clear();
-  hits_ = 0;
-  misses_ = 0;
-  miss_reasons_.fill(0);
-  recent_hits_ = 0;
-  recent_misses_ = 0;
-  skips_since_attempt_ = 0;
-}
-
 bool WarmStart::should_attempt() noexcept {
   // Keep probing while the recent hit rate is above ~1/9 (a hit repays far
   // more than eight rejected probes); otherwise probe every eighth solve.

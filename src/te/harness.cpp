@@ -4,7 +4,8 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "te/serving_loop.h"
+#include "te/lp_schemes.h"
+#include "te/mlu.h"
 #include "util/parallel.h"
 
 namespace figret::te {
@@ -14,6 +15,18 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// Runs body(begin, end) over [0, n) in chunks of `chunk` indices, one chunk
+/// per util::parallel_for index. Which thread runs a chunk never matters:
+/// chunk boundaries depend only on `n` and `chunk`.
+template <typename F>
+void for_each_chunk(std::size_t n, std::size_t chunk, std::size_t threads,
+                    F&& body) {
+  util::parallel_for(
+      0, (n + chunk - 1) / chunk,
+      [&](std::size_t c) { body(c * chunk, std::min(n, (c + 1) * chunk)); },
+      threads);
 }
 
 }  // namespace
@@ -43,16 +56,30 @@ traffic::TrafficTrace Harness::train_trace() const {
 std::vector<double> Harness::omniscient_for_alive(
     const std::vector<bool>* alive) {
   // The dominant cost of a full evaluation (Fig 5 / Table 2): one LP per
-  // evaluated snapshot. Batch evaluation is a client of the streaming
-  // pipeline: a transient ServingLoop runs the sweep through the same ring
-  // and worker code as live serving, with warm-LP chains reset at the
-  // historical chunk boundaries so the assembled vector is bit-identical
-  // for any execution width (serving_loop.h documents the chunk rule).
-  ServingLoop::Options o;
-  o.workers = opt_.threads;
-  o.solver = opt_.solver;
-  ServingLoop loop(*ps_, trace_, o);
-  return loop.run_oracle_batch(eval_indices_, alive, opt_.warm_chunk);
+  // evaluated snapshot. A chunk is both one warm chain (a fresh
+  // lp::WarmStart) and one unit of parallelism, capped so >= ~32 chunks
+  // exist. The chunk rule depends only on warm_chunk and the eval count,
+  // never on `threads`, so the vector is bit-identical for any width.
+  const std::size_t n = eval_indices_.size();
+  const bool chain = opt_.warm_chunk > 0;
+  const std::size_t chunk = std::max<std::size_t>(
+      1, std::min<std::size_t>(chain ? opt_.warm_chunk : 1, n / 32));
+  std::vector<double> out(n, 0.0);
+  for_each_chunk(n, chunk, opt_.threads, [&](std::size_t begin,
+                                             std::size_t end) {
+    lp::WarmStart warm;
+    for (std::size_t i = begin; i < end; ++i) {
+      const MluLpResult res =
+          solve_mlu_lp(*ps_, trace_[eval_indices_[i]], nullptr, alive,
+                       &opt_.solver, chain ? &warm : nullptr);
+      if (!res.optimal())
+        throw std::runtime_error(
+            std::string("Harness: omniscient LP failed (status: ") +
+            lp::to_string(res.status) + ")");
+      out[i] = res.mlu;
+    }
+  });
+  return out;
 }
 
 const std::vector<double>& Harness::omniscient() {
@@ -65,11 +92,25 @@ std::vector<double> Harness::score_batch(const std::vector<TeConfig>* configs,
                                          const TeConfig* fixed,
                                          const std::vector<bool>* alive,
                                          std::size_t threads) {
-  ServingLoop::Options o;
-  o.workers = threads;
-  o.solver = opt_.solver;
-  ServingLoop loop(*ps_, trace_, o);
-  return loop.run_score_batch(eval_indices_, configs, fixed, alive);
+  // Scoring is pure per index; chunks only amortize the scratch buffers.
+  const std::size_t n = eval_indices_.size();
+  const std::size_t width = threads == 0 ? util::default_threads() : threads;
+  const std::size_t chunk = std::max<std::size_t>(1, n / (width * 8 + 1));
+  std::vector<double> out(n, 0.0);
+  for_each_chunk(n, chunk, threads, [&](std::size_t begin, std::size_t end) {
+    TeConfig rerouted;
+    std::vector<double> edge_scratch;
+    for (std::size_t i = begin; i < end; ++i) {
+      const TeConfig& base = configs != nullptr ? (*configs)[i] : *fixed;
+      const TeConfig* served = &base;
+      if (alive != nullptr) {
+        reroute_into(*ps_, base, *alive, rerouted);
+        served = &rerouted;
+      }
+      out[i] = mlu(*ps_, trace_[eval_indices_[i]], *served, edge_scratch);
+    }
+  });
+  return out;
 }
 
 SchemeEval Harness::finish(std::string name, std::vector<double> raw,

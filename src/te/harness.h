@@ -105,10 +105,12 @@ class Harness {
                                        bool fit = true);
 
  private:
+  /// One omniscient LP per eval index on the util::parallel_for pool; throws
+  /// std::runtime_error on any non-optimal solve.
   std::vector<double> omniscient_for_alive(const std::vector<bool>* alive);
-  /// Scores configurations through a batch ServingLoop run (see
-  /// serving_loop.h): exactly one of `configs` (per eval index) / `fixed`.
-  /// With `alive`, traffic reroutes around dead paths before scoring.
+  /// MLU per eval index on the util::parallel_for pool: exactly one of
+  /// `configs` (per eval index) / `fixed`. With `alive`, traffic reroutes
+  /// around dead paths (§4.5) before scoring.
   std::vector<double> score_batch(const std::vector<TeConfig>* configs,
                                   const TeConfig* fixed,
                                   const std::vector<bool>* alive,

@@ -1,9 +1,6 @@
 #include "te/mlu.h"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "util/parallel.h"
 
 namespace figret::te {
 namespace {
@@ -61,36 +58,6 @@ void edge_loads_reference_into(const PathSet& ps,
     if (flow == 0.0) continue;
     for (net::EdgeId e : ps.path_edges(pid)) out[e] += flow;
   }
-}
-
-void edge_loads_parallel_into(const PathSet& ps,
-                              const traffic::DemandMatrix& demand,
-                              const TeConfig& config, EdgeLoadScratch& scratch,
-                              std::vector<double>& out, std::size_t chunks,
-                              std::size_t threads) {
-  check_shapes(ps, demand, config);
-  const std::size_t pairs = ps.num_pairs();
-  if (chunks == 0) chunks = threads != 0 ? threads : util::default_threads();
-  chunks = std::clamp<std::size_t>(chunks, 1, std::max<std::size_t>(pairs, 1));
-  scratch.partial.resize(chunks);
-  util::parallel_for(
-      0, chunks,
-      [&](std::size_t c) {
-        auto& buf = scratch.partial[c];
-        buf.assign(ps.num_edges(), 0.0);
-        const std::size_t lo = pairs * c / chunks;
-        const std::size_t hi = pairs * (c + 1) / chunks;
-        demand.for_each_active_in(lo, hi, [&](std::size_t pair, double d) {
-          if (d == 0.0) return;
-          accumulate_pair(ps, config, pair, d, buf);
-        });
-      },
-      threads);
-  // Reduce in chunk order: deterministic for a fixed chunk count regardless
-  // of which thread ran which chunk.
-  out.assign(ps.num_edges(), 0.0);
-  for (const auto& buf : scratch.partial)
-    for (net::EdgeId e = 0; e < out.size(); ++e) out[e] += buf[e];
 }
 
 MluResult max_link_utilization(const PathSet& ps,

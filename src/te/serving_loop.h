@@ -14,20 +14,17 @@
 // serving path). Warm-LP chains are per worker by construction, so two
 // concurrent callers can never interleave basis lineages.
 //
-// Batch evaluation (the Harness) is a thin client of the same machinery:
-// run_oracle_batch / run_score_batch push chunked jobs through the identical
-// ring + worker code with the warm chain reset at each chunk boundary, which
-// keeps results bit-identical for any worker count (chunk boundaries depend
-// only on the chunk size and the index count, never on the execution width).
-// Streaming mode instead chains each worker's LP warm starts indefinitely —
-// deliberately trading that determinism for steady-state pivot savings.
+// Each worker chains its LP warm starts indefinitely, trading bit-identity
+// across worker counts for steady-state pivot savings. Batch evaluation (the
+// Harness, te/harness.h) does not go through this loop: it runs its sweeps
+// on util::parallel_for with one fresh warm chain per fixed chunk, which
+// keeps its results bit-identical for any execution width.
 //
 // Failure handling mid-stream: install_failures() swaps in a path-liveness
 // mask behind a shared_ptr + epoch counter; workers notice with one relaxed
 // load per snapshot and only touch a mutex on the epoch that changes.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -88,8 +85,7 @@ struct SnapshotResult {
 class ServingLoop {
  public:
   struct Options {
-    /// Worker threads; 0 = util::default_threads(). In batch mode 1 means
-    /// inline serial execution on the caller (the bit-identity reference).
+    /// Worker threads; 0 = util::default_threads().
     std::size_t workers = 0;
     /// Snapshot ring capacity (rounded up to a power of two). The results
     /// ring holds 2x this.
@@ -147,8 +143,6 @@ class ServingLoop {
   /// between benchmark passes). Only safe while no snapshot is in flight.
   ServingStats& stats() noexcept { return stats_; }
 
-  // --- streaming mode ------------------------------------------------------
-
   /// Spawns the workers. When `infer` is on, `advisors` supplies exactly one
   /// fitted TeScheme per worker (advise is stateful, so instances must be
   /// distinct — clone via FigretScheme::save/load or construct per worker).
@@ -182,36 +176,13 @@ class ServingLoop {
     return completed_.load(std::memory_order_acquire);
   }
 
-  // --- batch mode (the Harness client) -------------------------------------
-
-  /// Omniscient MLU for trace indices `indices` (mask `alive` optional).
-  /// Chunked exactly like the historical Harness sweep: chunk = warm_chunk
-  /// clamped to keep >= ~32 chunks, each chunk one warm chain reset at its
-  /// start — bit-identical output for any worker count. Throws on any
-  /// non-optimal solve.
-  std::vector<double> run_oracle_batch(std::span<const std::size_t> indices,
-                                       const std::vector<bool>* alive,
-                                       std::size_t warm_chunk);
-
-  /// MLU of configurations against the realized demands at `indices`:
-  /// per-index configs (`configs`, parallel to `indices`) or one shared
-  /// `fixed` config. With `alive`, traffic is rerouted around dead paths
-  /// (§4.5) before scoring. Bit-identical for any worker count.
-  std::vector<double> run_score_batch(std::span<const std::size_t> indices,
-                                      const std::vector<TeConfig>* configs,
-                                      const TeConfig* fixed,
-                                      const std::vector<bool>* alive);
-
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Ring unit of work. Streaming jobs carry one trace index (count == 0);
-  /// batch jobs cover `count` consecutive slots of the batch index array
-  /// starting at `index`.
+  /// Ring unit of work: one submitted trace index.
   struct Job {
     std::uint64_t seq = 0;
     std::uint32_t index = 0;
-    std::uint32_t count = 0;
     Clock::time_point enqueued{};
   };
 
@@ -220,10 +191,6 @@ class ServingLoop {
     TeScheme* advisor = nullptr;
     std::size_t window = 1;
     lp::WarmStart warm;
-    std::uint64_t warm_hits_acc = 0;
-    std::uint64_t warm_misses_acc = 0;
-    /// Per-reason miss totals banked across warm.clear() chunk resets.
-    std::array<std::uint64_t, lp::kWarmFallbackCount> warm_fallback_acc{};
     TeConfig cfg;
     TeConfig installed;
     TeConfig rerouted;
@@ -246,19 +213,6 @@ class ServingLoop {
     std::thread thread;
   };
 
-  struct BatchState {
-    std::span<const std::size_t> indices;
-    const std::vector<TeConfig>* per_index = nullptr;
-    const TeConfig* fixed = nullptr;
-    const std::vector<bool>* alive = nullptr;
-    std::vector<double>* out = nullptr;
-    bool oracle = false;
-    bool chain = false;
-    std::atomic<std::size_t> completed{0};
-    std::atomic<bool> abort{false};
-    std::exception_ptr error;  // guarded by error_mu_
-  };
-
   void worker_loop(Worker& w);
   void process_snapshot(Worker& w, const Job& job);
   /// Steps the ladder down after a rejected advise: returns the config to
@@ -266,9 +220,6 @@ class ServingLoop {
   const TeConfig* fallback_config(Worker& w, std::uint32_t index,
                                   FallbackRung& rung);
   void refresh_failures(Worker& w);
-  void run_batch(BatchState& bs, std::size_t chunk);
-  void process_batch_chunk(Worker& w, BatchState& bs, std::size_t begin,
-                           std::size_t end);
   void aggregate_warm(const Worker& w);
   void check_submittable(std::uint32_t index) const;
 
@@ -281,7 +232,6 @@ class ServingLoop {
   util::MpmcRing<SnapshotResult> results_;
   ServingStats stats_;
 
-  // Streaming state.
   std::vector<std::unique_ptr<Worker>> stream_workers_;
   std::atomic<bool> stop_{true};
   bool running_ = false;
@@ -297,9 +247,6 @@ class ServingLoop {
   std::shared_ptr<const std::vector<std::uint32_t>> failure_dead_pairs_;
   std::atomic<std::uint64_t> failure_epoch_{0};
   std::mutex failure_mu_;
-
-  // Batch state.
-  std::atomic<bool> batch_stop_{false};
 };
 
 }  // namespace figret::te

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "net/topology.h"
 #include "net/yen.h"
 #include "te/lp_schemes.h"
+#include "te/mlu.h"
 #include "traffic/generators.h"
 
 namespace figret::te {
@@ -27,6 +30,70 @@ Harness make_harness(const PathSet& ps, std::size_t len = 80,
   opt.max_window = 12;
   return Harness(ps, traffic::dc_tor_trace(ps.num_nodes(), len, 23), opt);
 }
+
+/// Long-test-range options: 270 eval indices, so the omniscient chunk rule
+/// (min(warm_chunk, n / 32)) keeps chunks of 8 and scoring chunks hold
+/// several indices each.
+constexpr std::size_t kLongTrace = 300;
+
+Harness::Options long_options(std::size_t threads, std::size_t warm_chunk) {
+  Harness::Options opt;
+  opt.train_fraction = 0.1;
+  opt.max_window = 12;
+  opt.threads = threads;
+  opt.warm_chunk = warm_chunk;
+  return opt;
+}
+
+/// The normalizer sweep, hand-rolled serially: one fresh lp::WarmStart per
+/// chunk of min(warm_chunk, n / 32) indices (none when warm_chunk == 0).
+std::vector<double> chunked_omniscient(const PathSet& ps,
+                                       const traffic::TrafficTrace& trace,
+                                       const std::vector<std::size_t>& idx,
+                                       const std::vector<bool>* alive,
+                                       std::size_t warm_chunk) {
+  const std::size_t n = idx.size();
+  const std::size_t chunk = std::max<std::size_t>(
+      1, std::min<std::size_t>(warm_chunk > 0 ? warm_chunk : 1, n / 32));
+  const lp::SolverOptions solver;
+  std::vector<double> ref(n, 0.0);
+  for (std::size_t begin = 0; begin < n; begin += chunk) {
+    lp::WarmStart warm;
+    for (std::size_t i = begin; i < std::min(n, begin + chunk); ++i) {
+      const MluLpResult res =
+          solve_mlu_lp(ps, trace[idx[i]], nullptr, alive, &solver,
+                       warm_chunk > 0 ? &warm : nullptr);
+      EXPECT_TRUE(res.optimal()) << "slot " << i;
+      ref[i] = res.mlu;
+    }
+  }
+  return ref;
+}
+
+/// A lopsided, valid config that differs per call k (uniform would hide
+/// index mix-ups between configs and snapshots).
+TeConfig rotated_config(const PathSet& ps, std::size_t k) {
+  TeConfig raw(ps.num_paths(), 0.0);
+  for (std::size_t p = 0; p < ps.num_paths(); ++p)
+    raw[p] = 1.0 + static_cast<double>((p + k) % 7);
+  return normalize_config(ps, raw);
+}
+
+/// Serves rotated_config(ps, k) on its k-th advise() since fit(); the
+/// Harness advises serially in eval order, so call k is eval slot k.
+class RotatingScheme final : public TeScheme {
+ public:
+  explicit RotatingScheme(const PathSet& ps) : ps_(&ps) {}
+  std::string name() const override { return "Rotating"; }
+  void fit(const traffic::TrafficTrace&) override { calls_ = 0; }
+  TeConfig advise(std::span<const traffic::DemandMatrix>) override {
+    return rotated_config(*ps_, calls_++);
+  }
+
+ private:
+  const PathSet* ps_;
+  std::size_t calls_ = 0;
+};
 
 TEST(Harness, SplitAndEvalIndices) {
   const PathSet ps = mesh_pathset(4);
@@ -184,21 +251,92 @@ TEST(Harness, EvaluateAllMatchesIndividualEvaluates) {
   }
 }
 
+TEST(Harness, OmniscientMatchesSerialChunkedReferenceAnyWidth) {
+  // Bit-identity of the normalizer sweep: for any execution width, the
+  // pooled sweep assembles exactly the vector of the serial chunk loop, with
+  // and without warm chaining, fault-free and failure-aware.
+  const PathSet ps = mesh_pathset(4);
+  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, kLongTrace, 23);
+  const auto failed = sample_safe_failures(ps, 1, 3);
+  const std::vector<bool> alive = surviving_paths(ps, failed);
+  const std::vector<std::size_t> idx =
+      Harness(ps, trace, long_options(1, 8)).eval_indices();
+  ASSERT_GE(idx.size() / 32, 8u) << "chunks must chain 8 solves";
+
+  for (std::size_t warm_chunk : {8u, 0u}) {
+    const std::vector<double> ref =
+        chunked_omniscient(ps, trace, idx, nullptr, warm_chunk);
+    const std::vector<double> fail_ref =
+        chunked_omniscient(ps, trace, idx, &alive, warm_chunk);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+      Harness h(ps, trace, long_options(threads, warm_chunk));
+      const std::vector<double>& got = h.omniscient();
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(got[i], ref[i]) << "warm_chunk=" << warm_chunk
+                                  << " threads=" << threads << " slot " << i;
+
+      // The failure-aware normalizer is internal; its value shows through
+      // normalized = raw / max(oracle, 1e-12).
+      RotatingScheme scheme(ps);
+      const SchemeEval ev = h.evaluate_under_failures(scheme, failed);
+      ASSERT_EQ(ev.normalized.size(), fail_ref.size());
+      for (std::size_t i = 0; i < fail_ref.size(); ++i)
+        EXPECT_EQ(ev.normalized[i],
+                  ev.raw_mlu[i] / std::max(fail_ref[i], 1e-12))
+            << "warm_chunk=" << warm_chunk << " threads=" << threads
+            << " failure slot " << i;
+    }
+  }
+}
+
+TEST(Harness, ScoringMatchesRerouteAndMluAnyWidth) {
+  // Per-index configs land on their own snapshot, fault-free and rerouted
+  // around dead paths (§4.5), for any width and scoring chunk size.
+  const PathSet ps = mesh_pathset(4);
+  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, kLongTrace, 7);
+  const auto failed = sample_safe_failures(ps, 1, 3);
+  const std::vector<bool> alive = surviving_paths(ps, failed);
+
+  for (std::size_t threads : {1u, 3u}) {
+    Harness h(ps, trace, long_options(threads, 8));
+    const std::vector<std::size_t>& idx = h.eval_indices();
+    RotatingScheme scheme(ps);
+    const SchemeEval ev = h.evaluate(scheme);
+    const SchemeEval fev = h.evaluate_under_failures(scheme, failed);
+    ASSERT_EQ(ev.raw_mlu.size(), idx.size());
+    ASSERT_EQ(fev.raw_mlu.size(), idx.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+      const TeConfig cfg = rotated_config(ps, i);
+      EXPECT_EQ(ev.raw_mlu[i], mlu(ps, trace[idx[i]], cfg))
+          << "threads=" << threads << " slot " << i;
+      EXPECT_EQ(fev.raw_mlu[i],
+                mlu(ps, trace[idx[i]], reroute(ps, cfg, alive)))
+          << "threads=" << threads << " failure slot " << i;
+    }
+  }
+}
+
 TEST(Harness, SurfacesLpIterationLimit) {
   // A truncated omniscient solve must be an error, never a silent partial
-  // normalizer: one pivot cannot reach optimality on these LPs.
+  // normalizer: one pivot cannot reach optimality on these LPs. The error
+  // crosses the thread pool intact.
   const PathSet ps = mesh_pathset(4);
-  Harness::Options opt;
-  opt.max_window = 12;
-  opt.solver.simplex.max_iterations = 1;
-  Harness h(ps, traffic::dc_tor_trace(4, 80, 23), opt);
-  try {
-    h.omniscient();
-    FAIL() << "expected runtime_error for kIterationLimit";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("iteration limit"),
-              std::string::npos)
-        << e.what();
+  for (std::size_t threads : {1u, 2u}) {
+    Harness::Options opt;
+    opt.max_window = 12;
+    opt.threads = threads;
+    opt.solver.simplex.max_iterations = 1;
+    Harness h(ps, traffic::dc_tor_trace(4, 80, 23), opt);
+    try {
+      h.omniscient();
+      FAIL() << "expected runtime_error for kIterationLimit, threads="
+             << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("iteration limit"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -21,52 +21,6 @@ TEST(RingCapacity, RoundsUpToPowerOfTwo) {
   EXPECT_EQ(ring_capacity_for(65), 128u);
 }
 
-TEST(SpscRing, SingleThreadedFifoAndBounds) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99)) << "full ring must reject";
-  int v = -1;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i) << "FIFO order";
-  }
-  EXPECT_FALSE(ring.try_pop(v)) << "empty ring must reject";
-}
-
-TEST(SpscRing, WrapsAroundManyTimes) {
-  SpscRing<std::uint64_t> ring(2);
-  std::uint64_t v = 0;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.try_push(i));
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-}
-
-TEST(SpscRing, TwoThreadsTransferEverythingInOrder) {
-  SpscRing<std::uint64_t> ring(8);
-  constexpr std::uint64_t kItems = 200000;
-  std::vector<std::uint64_t> received;
-  received.reserve(kItems);
-
-  std::thread consumer([&] {
-    std::uint64_t v;
-    while (received.size() < kItems)
-      if (ring.try_pop(v))
-        received.push_back(v);
-      else
-        std::this_thread::yield();
-  });
-  for (std::uint64_t i = 0; i < kItems; ++i)
-    while (!ring.try_push(i)) std::this_thread::yield();
-  consumer.join();
-
-  ASSERT_EQ(received.size(), kItems);
-  for (std::uint64_t i = 0; i < kItems; ++i)
-    ASSERT_EQ(received[i], i) << "SPSC must preserve order";
-}
-
 TEST(MpmcRing, SingleThreadedFifoAndBounds) {
   MpmcRing<int> ring(4);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));

@@ -75,129 +75,6 @@ TeConfig skewed_config(const PathSet& ps) {
   return normalize_config(ps, raw);
 }
 
-std::vector<std::size_t> make_indices(std::size_t begin, std::size_t end) {
-  std::vector<std::size_t> idx;
-  for (std::size_t t = begin; t < end; ++t) idx.push_back(t);
-  return idx;
-}
-
-TEST(ServingLoopBatch, OracleMatchesDirectChunkedReference) {
-  // The bit-identity acceptance test: the batch pipeline must assemble the
-  // exact vector the historical serial chunk sweep produces, for any worker
-  // count.
-  const PathSet ps = mesh_pathset(4);
-  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 70, 23);
-  const auto indices = make_indices(10, 70);
-  const std::size_t warm_chunk = 8;
-
-  // Reference: the historical Harness semantics, hand-rolled serially.
-  const lp::SolverOptions solver;
-  std::vector<double> ref(indices.size(), 0.0);
-  {
-    const std::size_t n = indices.size();
-    std::size_t chunk = std::max<std::size_t>(
-        1, std::min<std::size_t>(warm_chunk, n / 32));
-    for (std::size_t c = 0; c * chunk < n; ++c) {
-      lp::WarmStart warm;
-      const std::size_t end = std::min(n, (c + 1) * chunk);
-      for (std::size_t i = c * chunk; i < end; ++i) {
-        const MluLpResult res = solve_mlu_lp(ps, trace[indices[i]], nullptr,
-                                             nullptr, &solver, &warm);
-        ASSERT_TRUE(res.optimal());
-        ref[i] = res.mlu;
-      }
-    }
-  }
-
-  for (std::size_t workers : {1u, 2u, 4u}) {
-    ServingLoop::Options opt;
-    opt.workers = workers;
-    ServingLoop loop(ps, trace, opt);
-    const std::vector<double> got =
-        loop.run_oracle_batch(indices, nullptr, warm_chunk);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      EXPECT_EQ(got[i], ref[i]) << "workers=" << workers << " slot " << i;
-  }
-}
-
-TEST(ServingLoopBatch, ScoreMatchesDirectMluAnyWidth) {
-  const PathSet ps = mesh_pathset(4);
-  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 60, 7);
-  const auto indices = make_indices(0, 60);
-  std::vector<TeConfig> configs;
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    TeConfig raw(ps.num_paths(), 0.0);
-    for (std::size_t p = 0; p < ps.num_paths(); ++p)
-      raw[p] = 1.0 + static_cast<double>((p + i) % 7);
-    configs.push_back(normalize_config(ps, raw));
-  }
-  std::vector<double> ref(indices.size(), 0.0);
-  for (std::size_t i = 0; i < indices.size(); ++i)
-    ref[i] = mlu(ps, trace[indices[i]], configs[i]);
-
-  for (std::size_t workers : {1u, 3u, 8u}) {
-    ServingLoop::Options opt;
-    opt.workers = workers;
-    ServingLoop loop(ps, trace, opt);
-    const auto got = loop.run_score_batch(indices, &configs, nullptr, nullptr);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      EXPECT_EQ(got[i], ref[i]) << "workers=" << workers << " slot " << i;
-  }
-}
-
-TEST(ServingLoopBatch, ScoreWithFailuresMatchesRerouteReference) {
-  const PathSet ps = mesh_pathset(4);
-  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 40, 5);
-  const auto indices = make_indices(0, 40);
-  const TeConfig fixed = skewed_config(ps);
-  const auto failed = sample_safe_failures(ps, 1, 3);
-  const std::vector<bool> alive = surviving_paths(ps, failed);
-  const TeConfig rerouted = reroute(ps, fixed, alive);
-
-  ServingLoop::Options opt;
-  opt.workers = 2;
-  ServingLoop loop(ps, trace, opt);
-  const auto got = loop.run_score_batch(indices, nullptr, &fixed, &alive);
-  for (std::size_t i = 0; i < indices.size(); ++i)
-    EXPECT_EQ(got[i], mlu(ps, trace[indices[i]], rerouted)) << "slot " << i;
-}
-
-TEST(ServingLoopBatch, ValidatesArguments) {
-  const PathSet ps = mesh_pathset(3);
-  const traffic::TrafficTrace trace = traffic::dc_tor_trace(3, 20, 5);
-  const auto indices = make_indices(0, 20);
-  const TeConfig fixed = uniform_config(ps);
-  std::vector<TeConfig> configs(indices.size(), fixed);
-  ServingLoop loop(ps, trace, ServingLoop::Options{});
-  EXPECT_THROW(loop.run_score_batch(indices, &configs, &fixed, nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(loop.run_score_batch(indices, nullptr, nullptr, nullptr),
-               std::invalid_argument);
-  std::vector<TeConfig> short_configs(3, fixed);
-  EXPECT_THROW(loop.run_score_batch(indices, &short_configs, nullptr, nullptr),
-               std::invalid_argument);
-}
-
-TEST(ServingLoopBatch, SurfacesLpIterationLimit) {
-  const PathSet ps = mesh_pathset(4);
-  const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 70, 23);
-  const auto indices = make_indices(0, 70);
-  ServingLoop::Options opt;
-  opt.workers = 2;
-  opt.solver.simplex.max_iterations = 1;
-  ServingLoop loop(ps, trace, opt);
-  try {
-    loop.run_oracle_batch(indices, nullptr, 8);
-    FAIL() << "expected runtime_error for kIterationLimit";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("iteration limit"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(ServingLoopStream, ServesEverySubmittedSnapshotExactly) {
   const PathSet ps = mesh_pathset(4);
   const traffic::TrafficTrace trace = traffic::dc_tor_trace(4, 80, 23);

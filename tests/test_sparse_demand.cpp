@@ -81,23 +81,6 @@ TEST(SparseDemand, CompactedPicksRepresentationByDensity) {
   EXPECT_TRUE(dense.compacted(1.0).is_sparse());
 }
 
-TEST(SparseDemand, ForEachActiveInVisitsExactlyTheRange) {
-  const auto dm = DemandMatrix::sparse(5, {1, 4, 9, 13, 19}, {1, 2, 3, 4, 5});
-  std::vector<std::size_t> seen;
-  dm.for_each_active_in(4, 14, [&](std::size_t p, double) {
-    seen.push_back(p);
-  });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{4, 9, 13}));
-
-  DemandMatrix dn(3);  // 6 pairs
-  for (std::size_t p = 0; p < dn.size(); ++p) dn[p] = 1.0;
-  seen.clear();
-  dn.for_each_active_in(2, 5, [&](std::size_t p, double) {
-    seen.push_back(p);
-  });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{2, 3, 4}));
-}
-
 TEST(SparseDemand, DotNormCosineMatchDenseComputation) {
   util::Rng rng(7);
   DemandMatrix a(8), b(8);
@@ -157,40 +140,6 @@ TEST_F(SparseEdgeLoads, FusedKernelIsBitIdenticalToReferenceOnFuzzedDemands) {
     EXPECT_EQ(fused, ref);
     // And the scoring wrappers agree.
     EXPECT_EQ(te::mlu(ps_, sp, cfg), te::mlu(ps_, dense, cfg));
-  }
-}
-
-TEST_F(SparseEdgeLoads, ParallelKernelMatchesWithinTolerance) {
-  util::Rng rng(123);
-  std::vector<double> serial, par;
-  te::EdgeLoadScratch scratch;
-  for (int trial = 0; trial < 10; ++trial) {
-    const DemandMatrix dense = fuzz_demand(rng, 0.4);
-    const auto cfg = te::uniform_config(ps_);
-    te::edge_loads_into(ps_, dense, cfg, serial);
-    for (std::size_t chunks : {1u, 2u, 3u, 7u}) {
-      te::edge_loads_parallel_into(ps_, dense, cfg, scratch, par, chunks);
-      ASSERT_EQ(par.size(), serial.size());
-      for (std::size_t e = 0; e < par.size(); ++e)
-        EXPECT_NEAR(par[e], serial[e], 1e-12) << "chunks=" << chunks;
-      te::edge_loads_parallel_into(ps_, dense.sparsified(), cfg, scratch, par,
-                                   chunks);
-      for (std::size_t e = 0; e < par.size(); ++e)
-        EXPECT_NEAR(par[e], serial[e], 1e-12) << "sparse chunks=" << chunks;
-    }
-  }
-}
-
-TEST_F(SparseEdgeLoads, ParallelKernelIsDeterministicForFixedChunks) {
-  util::Rng rng(321);
-  const DemandMatrix dm = fuzz_demand(rng, 0.5).sparsified();
-  const auto cfg = te::uniform_config(ps_);
-  te::EdgeLoadScratch scratch;
-  std::vector<double> first, again;
-  te::edge_loads_parallel_into(ps_, dm, cfg, scratch, first, 4);
-  for (int rep = 0; rep < 5; ++rep) {
-    te::edge_loads_parallel_into(ps_, dm, cfg, scratch, again, 4);
-    EXPECT_EQ(again, first);
   }
 }
 
