@@ -6,9 +6,9 @@
 //   1. edge_loads snapshots/sec: the pre-optimization path-major kernel
 //      (edge_loads_reference_into) vs the fused pair-major O(nnz) kernel
 //      (edge_loads_into);
-//   2. batched MLP forward rows/sec: the tiled/SIMD matmul_t under
-//      KernelMode::kTiled vs the pre-optimization kernels under
-//      KernelMode::kReference, on a per-source-shard FIGRET-style model
+//   2. batched MLP forward rows/sec: Mlp::forward_batch on the tiled/SIMD
+//      matmul_t vs nn::mlp_forward_batch_reference (the same layers on the
+//      pre-optimization matmul_t), on a per-source-shard FIGRET-style model
 //      (a full fat-tree-k16 output layer would be ~836 MB of weights — real
 //      deployments shard the model per source pod, and so does the bench);
 //   3. p50/p99 scoring latency (sparse demand -> MLU via the fused kernel).
@@ -34,6 +34,7 @@
 #include "linalg/matrix.h"
 #include "net/fabric.h"
 #include "nn/mlp.h"
+#include "support/reference_kernels.h"
 #include "te/mlu.h"
 #include "te/pathset.h"
 #include "traffic/demand.h"
@@ -206,7 +207,7 @@ MlpResult measure_mlp(const Topo& t, double min_seconds) {
   nn::MlpConfig cfg;
   cfg.layer_sizes = {r.input, 128, 128, r.output};
   // Identity output head: the output nonlinearity is identical scalar work
-  // in both kernel modes (at k=16 it is ~170k std::exp calls per batch) and
+  // in both forwards (at k=16 it is ~170k std::exp calls per batch) and
   // would dilute the matmul-kernel comparison this bench exists to make.
   cfg.output = nn::OutputActivation::kIdentity;
   cfg.seed = 7;
@@ -225,25 +226,25 @@ MlpResult measure_mlp(const Topo& t, double min_seconds) {
 
   nn::MlpBatchWorkspace ws;
   util::LatencyHistogram hist;
-  const auto run_mode = [&](linalg::KernelMode mode, bool record) {
-    linalg::set_kernel_mode(mode);
-    const LoopStats st = run_passes(
-        [&] {
-          const auto s0 = Clock::now();
-          const linalg::Matrix& y = mlp.forward_batch(x, ws);
-          if (record) hist.record(seconds_since(s0));
-          g_sink += y(0, 0) + y(kBatch - 1, r.output - 1);
-        },
-        min_seconds / kRounds, 2);
-    linalg::set_kernel_mode(linalg::KernelMode::kTiled);
+  const auto rows_per_sec = [&](auto&& pass) {
+    const LoopStats st = run_passes(pass, min_seconds / kRounds, 2);
     return st.best_pass > 0.0 ? static_cast<double>(kBatch) / st.best_pass
                               : 0.0;
   };
   for (int round = 0; round < kRounds; ++round) {
-    r.tiled_rows_per_sec = std::max(
-        r.tiled_rows_per_sec, run_mode(linalg::KernelMode::kTiled, true));
-    r.ref_rows_per_sec = std::max(
-        r.ref_rows_per_sec, run_mode(linalg::KernelMode::kReference, false));
+    r.tiled_rows_per_sec =
+        std::max(r.tiled_rows_per_sec, rows_per_sec([&] {
+                   const auto s0 = Clock::now();
+                   const linalg::Matrix& y = mlp.forward_batch(x, ws);
+                   hist.record(seconds_since(s0));
+                   g_sink += y(0, 0) + y(kBatch - 1, r.output - 1);
+                 }));
+    r.ref_rows_per_sec =
+        std::max(r.ref_rows_per_sec, rows_per_sec([&] {
+                   const linalg::Matrix y =
+                       nn::mlp_forward_batch_reference(mlp, x);
+                   g_sink += y(0, 0) + y(kBatch - 1, r.output - 1);
+                 }));
   }
   r.tiled_p50_ms = hist.percentile(50.0) * 1e3;
   r.tiled_p99_ms = hist.percentile(99.0) * 1e3;
@@ -347,8 +348,8 @@ int main() {
   std::cout << "\nedge_loads kernels (snapshots/sec; speedups vs the "
                "pre-optimization path-major kernel):\n";
   lt.print(std::cout);
-  std::cout << "\nbatched MLP forward (rows/sec; tiled vs KernelMode::"
-               "kReference on the same weights and inputs):\n";
+  std::cout << "\nbatched MLP forward (rows/sec; tiled vs the reference "
+               "forward on the same weights and inputs):\n";
   mt.print(std::cout);
 
   jout.set("topologies", std::move(jtopos));

@@ -23,6 +23,7 @@
 #include <string>
 
 #include "bench_common.h"
+#include "support/dense_simplex.h"
 #include "te/cope.h"
 #include "te/figret.h"
 #include "te/lp_schemes.h"
@@ -226,15 +227,22 @@ int main(int argc, char** argv) {
     auto ms_per_solve = [count](double total) {
       return 1e3 * total / static_cast<double>(count);
     };
-    auto sweep = [&](const lp::SolverOptions& opt, lp::WarmStart* warm,
-                     bool hint) {
+    // `dense` solves on the test-side tableau oracle, which reports pivots
+    // only; otherwise the library's revised engine runs.
+    auto sweep = [&](bool dense, lp::WarmStart* warm, bool hint) {
       EngineRun run;
       const auto t0 = Clock::now();
       for (std::size_t t = begin; t < ts.sc.trace.size(); ++t) {
         lp::LpProblem prob = te::build_mlu_lp(ts.sc.ps, ts.sc.trace[t]);
         if (!hint) prob.set_start_basis({});
         lp::SolveStats st;
-        const lp::LpResult res = lp::solve_with(prob, opt, warm, &st);
+        lp::LpResult res;
+        if (dense) {
+          res = lp::solve_dense(prob);
+          st.pivots = res.iterations;
+        } else {
+          res = lp::solve_with(prob, {}, warm, &st);
+        }
         if (!res.optimal()) throw std::runtime_error("engine sweep LP failed");
         run.pivots += st.pivots;
         run.phase1_pivots += st.phase1_pivots;
@@ -244,14 +252,11 @@ int main(int argc, char** argv) {
       run.seconds = seconds_since(t0);
       return run;
     };
-    lp::SolverOptions dense_opt;
-    dense_opt.engine = lp::Engine::kDenseTableau;
-    lp::SolverOptions revised_opt;  // default: kRevisedSparse
-    const EngineRun dense = sweep(dense_opt, nullptr, true);
-    const EngineRun cold = sweep(revised_opt, nullptr, false);
-    const EngineRun crash = sweep(revised_opt, nullptr, true);
+    const EngineRun dense = sweep(true, nullptr, true);
+    const EngineRun cold = sweep(false, nullptr, false);
+    const EngineRun crash = sweep(false, nullptr, true);
     lp::WarmStart warm;
-    const EngineRun hot = sweep(revised_opt, &warm, true);
+    const EngineRun hot = sweep(false, &warm, true);
     et.add_row({ts.sc.name, std::to_string(count),
                 util::fmt(dense.seconds, 3), std::to_string(dense.pivots),
                 util::fmt(cold.seconds, 3), std::to_string(cold.pivots),

@@ -1,7 +1,6 @@
 #include "linalg/matrix.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -12,10 +11,12 @@
 // microkernels below are force-inlined so every cloned caller compiles them
 // under its own ISA; all fast kernels carry the same clone list, so on any
 // given machine they resolve to the same variant and remain bitwise
-// consistent with each other. The *_reference kernels are deliberately not
-// cloned — they are the pre-optimization baseline the differential tests and
-// benches compare against.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// consistent with each other. ThreadSanitizer builds keep the baseline
+// variant only: the ifunc resolvers run while the loader relocates the
+// binary, before the TSan runtime is initialized, and their instrumented
+// code crashes every program that links these kernels at startup.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define FIGRET_ISA_CLONES \
   __attribute__((target_clones("arch=x86-64-v3", "default")))
 #define FIGRET_FORCE_INLINE inline __attribute__((always_inline))
@@ -26,8 +27,6 @@
 
 namespace figret::linalg {
 namespace {
-
-std::atomic<KernelMode> g_kernel_mode{KernelMode::kTiled};
 
 // ---------------------------------------------------------------------------
 // Microkernels. All reductions use kLanes (16) independent accumulator
@@ -100,14 +99,6 @@ FIGRET_FORCE_INLINE void rank1_update(double* out, std::size_t n, double a,
 
 }  // namespace
 
-void set_kernel_mode(KernelMode mode) noexcept {
-  g_kernel_mode.store(mode, std::memory_order_relaxed);
-}
-
-KernelMode kernel_mode() noexcept {
-  return g_kernel_mode.load(std::memory_order_relaxed);
-}
-
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
@@ -139,12 +130,10 @@ FIGRET_ISA_CLONES
 Matrix Matrix::matmul(const Matrix& other) const {
   if (cols_ != other.rows_)
     throw std::invalid_argument("Matrix::matmul: inner dimension mismatch");
-  if (kernel_mode() == KernelMode::kReference) return matmul_reference(other);
   Matrix out(rows_, other.cols_);
   const std::size_t n = other.cols_;
   // i-(k by 4)-j: four rows of B per sweep of the output row. No zero-skip
-  // branch — the dense path must not pay a compare per scalar (the footgun
-  // the reference kernel keeps for sparsity-heavy callers).
+  // branch — the dense path must not pay a compare per scalar.
   for (std::size_t i = 0; i < rows_; ++i) {
     const double* arow = data_.data() + i * cols_;
     double* orow = out.data_.data() + i * n;
@@ -160,30 +149,10 @@ Matrix Matrix::matmul(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::matmul_reference(const Matrix& other) const {
-  if (cols_ != other.rows_)
-    throw std::invalid_argument("Matrix::matmul: inner dimension mismatch");
-  Matrix out(rows_, other.cols_);
-  // The pre-optimization i-k-j kernel, zero-skip branch included: profitable
-  // only when the left operand is mostly zeros.
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = (*this)(i, k);
-      if (aik == 0.0) continue;
-      const double* brow = other.data_.data() + k * other.cols_;
-      double* orow = out.data_.data() + i * out.cols_;
-      for (std::size_t j = 0; j < other.cols_; ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
-}
-
 FIGRET_ISA_CLONES
 Matrix Matrix::t_matmul(const Matrix& other) const {
   if (rows_ != other.rows_)
     throw std::invalid_argument("Matrix::t_matmul: dimension mismatch");
-  if (kernel_mode() == KernelMode::kReference)
-    return t_matmul_reference(other);
   Matrix out(cols_, other.cols_);
   const std::size_t n = other.cols_;
   // (k by 4)-i-j: out(i,:) accumulates four k-terms per sweep; A is read
@@ -207,29 +176,10 @@ Matrix Matrix::t_matmul(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::t_matmul_reference(const Matrix& other) const {
-  if (rows_ != other.rows_)
-    throw std::invalid_argument("Matrix::t_matmul: dimension mismatch");
-  Matrix out(cols_, other.cols_);
-  for (std::size_t k = 0; k < rows_; ++k) {
-    const double* arow = data_.data() + k * cols_;
-    const double* brow = other.data_.data() + k * other.cols_;
-    for (std::size_t i = 0; i < cols_; ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      double* orow = out.data_.data() + i * out.cols_;
-      for (std::size_t j = 0; j < other.cols_; ++j) orow[j] += aki * brow[j];
-    }
-  }
-  return out;
-}
-
 FIGRET_ISA_CLONES
 Matrix Matrix::matmul_t(const Matrix& other) const {
   if (cols_ != other.cols_)
     throw std::invalid_argument("Matrix::matmul_t: dimension mismatch");
-  if (kernel_mode() == KernelMode::kReference)
-    return matmul_t_reference(other);
   Matrix out(rows_, other.rows_);
   // Each output element is a row-by-row dot; dot_lanes gives four independent
   // FMA chains (the naive single-accumulator loop is latency-bound because
@@ -276,22 +226,6 @@ Matrix Matrix::matmul_t(const Matrix& other) const {
           out.data_[i * oc + j] =
               dot_lanes(data_.data() + i * cols_, brow, cols_);
       }
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::matmul_t_reference(const Matrix& other) const {
-  if (cols_ != other.cols_)
-    throw std::invalid_argument("Matrix::matmul_t: dimension mismatch");
-  Matrix out(rows_, other.rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* arow = data_.data() + i * cols_;
-    for (std::size_t j = 0; j < other.rows_; ++j) {
-      const double* brow = other.data_.data() + j * other.cols_;
-      double acc = 0.0;
-      for (std::size_t k = 0; k < cols_; ++k) acc += arow[k] * brow[k];
-      out(i, j) = acc;
     }
   }
   return out;

@@ -9,9 +9,9 @@
 // compiler can keep FMA pipelines full without -ffast-math reassociation.
 // Every reduction (dot, matvec, matmul_t element) sums in the *same* fixed
 // order, so the batched NN forward is bit-identical to the per-sample path.
-// The pre-optimization kernels survive as the *_reference variants: they are
-// the differential-test oracles and the bench baselines, and matmul_reference
-// keeps the zero-skip branch for sparsity-heavy callers that want it.
+// The pre-optimization kernels live with the tests
+// (tests/support/reference_kernels.h): they are the differential-test
+// oracles and the bench baselines, and no library code calls them.
 // Callers with a mostly-zero vector operand use matvec_sparse_into, which
 // reads only the nonzero columns and still matches matvec_into bit for bit.
 #pragma once
@@ -21,13 +21,6 @@
 #include <vector>
 
 namespace figret::linalg {
-
-/// Process-wide kernel selection, used by benches and differential tests to
-/// run the pre-optimization kernels through the exact same call sites.
-/// Not thread-safe to toggle while kernels run; default is kTiled.
-enum class KernelMode { kTiled, kReference };
-void set_kernel_mode(KernelMode mode) noexcept;
-KernelMode kernel_mode() noexcept;
 
 class Matrix {
  public:
@@ -68,14 +61,6 @@ class Matrix {
   Matrix t_matmul(const Matrix& other) const;
   /// this * transpose(other). Requires cols() == other.cols().
   Matrix matmul_t(const Matrix& other) const;
-
-  /// Pre-optimization kernels, kept as differential oracles and as the
-  /// sparse-aware variant (matmul_reference skips zero left-operand entries,
-  /// which LP-style callers with sparse operands may prefer over the dense
-  /// tiled path).
-  Matrix matmul_reference(const Matrix& other) const;
-  Matrix t_matmul_reference(const Matrix& other) const;
-  Matrix matmul_t_reference(const Matrix& other) const;
 
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);

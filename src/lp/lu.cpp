@@ -9,6 +9,16 @@ namespace figret::lp {
 
 namespace {
 
+// Pivots below this magnitude are unusable: a column whose best entry stays
+// under the floor makes the basis numerically singular.
+constexpr double kAbsPivotTol = 1e-10;
+// Threshold partial pivoting: an entry qualifies as pivot only if its
+// magnitude is at least this fraction of its column's largest entry.
+constexpr double kRelPivotTol = 0.01;
+// Entries below kDropTol * max|vector| are dropped when a column or row is
+// compacted — relative, never absolute (see lp/lu.h).
+constexpr double kDropTol = 1e-14;
+
 // Room for `need` elements in `list`, an extent of `pool`: a list that
 // outgrows its room moves to the pool's end with twice the room, keeping its
 // elements.
@@ -26,9 +36,7 @@ void reserve_in_pool(std::vector<T>& pool, Extent& list, std::uint32_t need) {
 }  // namespace
 
 bool LuFactorization::factorize(const SparseMatrix& A,
-                                const std::vector<std::uint32_t>& basis,
-                                Options opt) {
-  opt_ = opt;
+                                const std::vector<std::uint32_t>& basis) {
   m_ = basis.size();
   valid_ = false;
   updates_ = 0;
@@ -125,10 +133,10 @@ void LuFactorization::bucket_flip(std::uint32_t j, std::uint32_t len) {
 }
 
 // Threshold partial pivoting inside column j: among entries within
-// rel_pivot_tol of the column's largest, the one in the shortest row, larger
+// kRelPivotTol of the column's largest, the one in the shortest row, larger
 // magnitude on ties. A row's length counts every slot ever listed for it,
 // stale ids included — an approximate fill heuristic. False: the column is
-// unusable for now (its largest entry is under abs_pivot_tol).
+// unusable for now (its largest entry is under kAbsPivotTol).
 bool LuFactorization::pivot_in_column(std::uint32_t j, std::uint32_t& pr,
                                       double& pv) const {
   const Extent& c = cols_[j];
@@ -136,8 +144,8 @@ bool LuFactorization::pivot_in_column(std::uint32_t j, std::uint32_t& pr,
   double cmax = 0.0;
   for (std::uint32_t k = 0; k < c.size; ++k)
     cmax = std::max(cmax, std::abs(e[k].second));
-  if (cmax < opt_.abs_pivot_tol) return false;
-  const double thresh = std::max(opt_.abs_pivot_tol, opt_.rel_pivot_tol * cmax);
+  if (cmax < kAbsPivotTol) return false;
+  const double thresh = std::max(kAbsPivotTol, kRelPivotTol * cmax);
   bool found = false;
   std::uint32_t cand_r = 0;
   double cand_v = 0.0;
@@ -247,7 +255,7 @@ bool LuFactorization::eliminate() {
         double cmax = 0.0;
         for (const std::uint32_t row : touched_)
           cmax = std::max(cmax, std::abs(dval_[row]));
-        const double drop = opt_.drop_tol * cmax;
+        const double drop = kDropTol * cmax;
         col.size = 0;
         reserve_in_pool(cpool_, col,
                         static_cast<std::uint32_t>(touched_.size()));
@@ -345,7 +353,7 @@ bool LuFactorization::update(std::uint32_t slot, double pivot_estimate) {
   ++colversion_[slot];
   double smax = 0.0;
   for (std::size_t i = 0; i < m_; ++i) smax = std::max(smax, std::abs(spike_[i]));
-  const double drop = opt_.drop_tol * smax;
+  const double drop = kDropTol * smax;
   // ... and insert the spike's entries into every other pivot row (each row
   // of B belongs to exactly one pivot). With the pivot order rotated below,
   // the spike column is ordered last, so all of these sit above the diagonal.
@@ -379,7 +387,7 @@ bool LuFactorization::update(std::uint32_t slot, double pivot_estimate) {
   }
   const double newdiag = dwork_[slot];
   dwork_[slot] = 0.0;
-  if (!(std::abs(newdiag) > opt_.abs_pivot_tol)) {
+  if (!(std::abs(newdiag) > kAbsPivotTol)) {
     // Unsafe replacement pivot: the factorization is no longer usable. The
     // caller refactorizes from scratch, which discards all of the state the
     // steps above touched.

@@ -45,24 +45,12 @@ namespace figret::lp {
 
 class LuFactorization {
  public:
-  struct Options {
-    /// Pivots below this magnitude are unusable: a column whose best entry
-    /// stays under the floor makes the basis numerically singular.
-    double abs_pivot_tol = 1e-10;
-    /// Threshold partial pivoting: an entry qualifies as pivot only if its
-    /// magnitude is at least this fraction of its column's largest entry.
-    double rel_pivot_tol = 0.01;
-    /// Relative drop tolerance: entries below drop_tol * max|vector| are
-    /// dropped when a column/row is compacted. Relative, not absolute — see
-    /// file comment.
-    double drop_tol = 1e-14;
-  };
-
   /// Factorizes B = [A.col(basis[0]) ... A.col(basis[m-1])]. Resets any
   /// prior factorization and update history. Returns false when the basis is
-  /// numerically singular (no usable pivot in some elimination step).
-  bool factorize(const SparseMatrix& A, const std::vector<std::uint32_t>& basis,
-                 Options opt);
+  /// numerically singular (no usable pivot in some elimination step). The
+  /// pivot and drop tolerances are fixed constants in lu.cpp.
+  bool factorize(const SparseMatrix& A,
+                 const std::vector<std::uint32_t>& basis);
 
   bool valid() const noexcept { return valid_; }
   std::size_t rows() const noexcept { return m_; }
@@ -148,7 +136,6 @@ class LuFactorization {
 
   std::size_t m_ = 0;
   bool valid_ = false;
-  Options opt_;
   // L, one column per elimination step k: v[row] -= mult * v[lpivot_[k]]
   // for each (row, mult) in lmults_[lstart_[k], lstart_[k + 1]).
   std::vector<std::uint32_t> lpivot_;

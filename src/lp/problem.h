@@ -1,18 +1,15 @@
-// Self-contained linear-programming solver (no external dependencies).
+// Linear-program description and solve verdicts, shared by the LP engine
+// (lp/revised_simplex.h) and everything that builds or checks LPs.
 //
 // The paper's baselines (Omniscient TE, Demand-prediction TE, Google's
 // Desensitization/"Hedging" TE, Oblivious TE, COPE) all reduce to LPs that
-// the authors solved with Gurobi. This module replaces Gurobi with a
-// two-phase primal simplex on a dense tableau with native support for
-// variable upper bounds, which is what the sensitivity-capped TE LPs need
-// (a cap `r_p <= F(s,d) * C_p` is a variable bound, not an extra row).
-//
-// Scope and limits (documented, asserted by tests):
+// the authors solved with Gurobi; this repository solves them with its own
+// engine. The model (documented, asserted by tests):
 //  * minimization only (callers negate for max);
-//  * all variables have lower bound 0 and optional finite upper bound;
-//  * Dantzig pricing with an automatic switch to Bland's rule for
-//    anti-cycling after a pivot budget is exhausted;
-//  * detects infeasibility (phase-1 residual) and unboundedness.
+//  * all variables have lower bound 0 and an optional finite upper bound —
+//    a sensitivity cap `r_p <= F(s,d) * C_p` is a variable bound, not an
+//    extra row;
+//  * rows are <=, =, or >= with any sign of right-hand side.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +42,7 @@ inline constexpr std::size_t kStatusCount = 5;
 const char* to_string(Status status) noexcept;
 
 /// Basic values driven into (-clamp, 0) by cancellation in pivot updates are
-/// numerical noise, not infeasibility: both engines snap them to zero. The
+/// numerical noise, not infeasibility: the engine snaps them to zero. The
 /// clamp is keyed to the feasibility tolerance (four decades below it, so
 /// values it absorbs could never count as violations), with a floor near
 /// machine precision so a very tight tolerance cannot disable the cleanup.
@@ -82,12 +79,11 @@ class LpProblem {
   /// for an inequality row, its artificial for an equality row.
   static constexpr std::size_t kLogical = static_cast<std::size_t>(-1);
   /// Attaches a crash start-basis hint: one basic column per row, either a
-  /// structural variable index or kLogical. The revised engine installs it
+  /// structural variable index or kLogical. The engine installs it
   /// on a cold solve (no compatible warm basis): a primal feasible hint goes
   /// straight to phase 2, one that leaves artificials above zero runs phase
   /// 1 from it, and a singular, infeasible, or wrong-length hint falls back
-  /// to the all-logical two-phase start. The dense tableau ignores it. An
-  /// empty vector clears the hint.
+  /// to the all-logical two-phase start. An empty vector clears the hint.
   void set_start_basis(std::vector<std::size_t> basis) {
     start_basis_ = std::move(basis);
   }
@@ -145,8 +141,5 @@ struct LpResult {
 
   bool optimal() const noexcept { return status == Status::kOptimal; }
 };
-
-/// Solves the LP. The result vector `x` is populated only when optimal.
-LpResult solve(const LpProblem& problem, const SolveOptions& options = {});
 
 }  // namespace figret::lp

@@ -13,16 +13,6 @@
 namespace figret::lp {
 namespace {
 
-// Basis-LU numerics: a pivot below kSingularTol makes the basis singular;
-// candidate pivots must also reach kRelPivotTol of their column's largest
-// entry (threshold partial pivoting); entries below kLuDrop *relative to the
-// vector being compacted* are dropped — relative, never absolute, so
-// ill-scaled LPs keep the entries that matter (the old eta file's absolute
-// 1e-13 drop was a documented bug).
-constexpr double kSingularTol = 1e-10;
-constexpr double kRelPivotTol = 0.01;
-constexpr double kLuDrop = 1e-14;
-
 // Devex reference weights are reset to 1 when the largest weight outgrows
 // this bound (Forrest & Goldfarb's safeguard against weight blow-up).
 constexpr double kDevexReset = 1e8;
@@ -47,7 +37,7 @@ class RevisedSimplex {
     m_ = m;
 
     // Normalize rows to rhs >= 0 (negation flips the relation), mirroring
-    // the dense engine so both see the same standard form.
+    // the dense test oracle so both see the same standard form.
     std::vector<Relation> rels(m);
     b_.assign(m, 0.0);
     negated_.assign(m, false);
@@ -70,7 +60,7 @@ class RevisedSimplex {
       }
     }
 
-    // Column layout (identical to the dense engine): [0, n) structural, then
+    // Column layout (identical to the dense oracle): [0, n) structural, then
     // one slack/surplus per inequality, then one artificial per >=/= row.
     std::size_t n_slack = 0, n_art = 0;
     for (Relation r : rels) {
@@ -141,8 +131,9 @@ class RevisedSimplex {
     row_signature_ = h;
   }
 
-  /// `use_hint`: a cold start may install the problem's start-basis hint.
-  LpResult run(WarmStart* warm, SolveStats* stats, bool use_hint = true) {
+  /// `all_logical` (the cold retry): ignore both the warm basis and the
+  /// problem's start-basis hint and run the all-logical two-phase start.
+  LpResult run(WarmStart* warm, SolveStats* stats, bool all_logical = false) {
     LpResult result;
     start_ = std::chrono::steady_clock::now();
     if (opt_.simplex.time_limit_seconds < 0.0) {
@@ -152,13 +143,14 @@ class RevisedSimplex {
       result.status = Status::kDeadline;
       return finish(result, warm, stats);
     }
-    const WarmPrime prime = try_warm_start(warm);
+    const WarmPrime prime =
+        all_logical ? WarmPrime::kCold : try_warm_start(warm);
 
     if (prime == WarmPrime::kCold) {
       // A crash basis that leaves no artificial above zero is already
       // feasible for the real problem: phase 1 has nothing to do.
       bool need_phase1 = true;
-      if (use_hint && crash_init())
+      if (!all_logical && crash_init())
         need_phase1 = artificial_positive();
       else
         cold_init();
@@ -254,8 +246,7 @@ class RevisedSimplex {
   bool refactorize() {
     ++stats_.refactorizations;
     const auto t0 = Clock::now();
-    const bool ok =
-        lu_.factorize(A_, basis_, {kSingularTol, kRelPivotTol, kLuDrop});
+    const bool ok = lu_.factorize(A_, basis_);
     stats_.factorize_seconds += seconds_since(t0);
     return ok;
   }
@@ -364,7 +355,7 @@ class RevisedSimplex {
   }
 
   WarmPrime try_warm_start(WarmStart* warm) {
-    if (!warm || !opt_.use_warm_start || !warm->has_basis())
+    if (!warm || !warm->has_basis())
       return WarmPrime::kCold;
     // Probing costs a refactorization; back off when the handle keeps
     // missing (bursty traces whose bases never transfer).
@@ -405,9 +396,6 @@ class RevisedSimplex {
       stats_.warm_start_used = true;
       return WarmPrime::kPrimal;
     }
-    if (!opt_.dual_warm_start)
-      return reject(WarmFallback::kPrimalInfeasible);
-
     // Primal infeasible (the RHS-only change). The basis of the previous
     // optimum is dual feasible for the previous objective; if the objective
     // moved too, repair dual feasibility by bound-flipping nonbasic columns
@@ -870,8 +858,8 @@ class RevisedSimplex {
 
 }  // namespace
 
-LpResult solve_revised(const LpProblem& problem, const SolverOptions& options,
-                       WarmStart* warm, SolveStats* stats) {
+LpResult solve_with(const LpProblem& problem, const SolverOptions& options,
+                    WarmStart* warm, SolveStats* stats) {
   auto t0 = Clock::now();
   RevisedSimplex simplex(problem, options);
   const double setup = seconds_since(t0);
@@ -882,13 +870,11 @@ LpResult solve_revised(const LpProblem& problem, const SolverOptions& options,
     // A warm or crash basis that was accepted but collapsed mid-solve
     // (singular refactorization, dual-simplex breakdown): retry all-logical
     // two-phase once — correctness must never depend on either.
-    SolverOptions cold = options;
-    cold.use_warm_start = false;
     t0 = Clock::now();
-    RevisedSimplex cold_simplex(problem, cold);
+    RevisedSimplex cold_simplex(problem, options);
     const double retry_setup = seconds_since(t0);
     SolveStats retry;
-    result = cold_simplex.run(warm, &retry, /*use_hint=*/false);
+    result = cold_simplex.run(warm, &retry, /*all_logical=*/true);
     retry.setup_seconds = retry_setup;
     // The abandoned run's work still happened: report the totals.
     retry.pivots += first.pivots;
@@ -911,19 +897,6 @@ LpResult solve_revised(const LpProblem& problem, const SolverOptions& options,
   }
   if (stats) *stats = first;
   return result;
-}
-
-LpResult solve_with(const LpProblem& problem, const SolverOptions& options,
-                    WarmStart* warm, SolveStats* stats) {
-  if (options.engine == Engine::kDenseTableau) {
-    LpResult result = solve(problem, options.simplex);
-    if (stats) {
-      *stats = SolveStats{};
-      stats->pivots = result.iterations;
-    }
-    return result;
-  }
-  return solve_revised(problem, options, warm, stats);
 }
 
 }  // namespace figret::lp

@@ -1,7 +1,7 @@
-// Sparse revised simplex (primal + dual) over a Forrest–Tomlin LU basis.
-//
-// Drop-in second engine behind the LpProblem/Status/LpResult API of
-// lp/simplex.h. Differences from the dense tableau oracle:
+// Sparse revised simplex (primal + dual) over a Forrest–Tomlin LU basis:
+// the library's one LP engine, behind the LpProblem/Status/LpResult API of
+// lp/problem.h. The dense tableau that the LP test battery compares it
+// against lives with the tests (tests/support/dense_simplex.h). Design:
 //  * the constraint matrix is stored once in CSC (lp/sparse.h) and never
 //    modified — pricing is O(nnz), not O(rows * cols);
 //  * the basis inverse is a Markowitz-ordered sparse LU factorization with
@@ -36,34 +36,21 @@
 // warm starts nor hints can change which answer is returned.
 #pragma once
 
-#include "lp/simplex.h"
+#include "lp/problem.h"
 #include "lp/warm_start.h"
 
 namespace figret::lp {
 
-enum class Engine {
-  kDenseTableau,   // lp/simplex.cpp — the reference oracle
-  kRevisedSparse,  // this file
-};
-
-/// Engine selection plus engine-specific knobs, shared by all LP call sites.
+/// Solver knobs, shared by all LP call sites.
 struct SolverOptions {
-  Engine engine = Engine::kRevisedSparse;
-  /// Pivot caps and tolerances (shared meaning across engines).
+  /// Pivot caps, tolerances and the wall-clock budget.
   SolveOptions simplex;
-  /// Revised engine: Forrest–Tomlin updates between LU rebuilds.
+  /// Forrest–Tomlin updates between LU rebuilds.
   std::size_t refactor_interval = 96;
-  /// Revised engine: honor a WarmStart handle when one is passed.
-  bool use_warm_start = true;
-  /// Revised engine: re-optimize a primal-infeasible warm basis with the
-  /// dual simplex instead of discarding it. Off, every RHS-only change
-  /// falls back cold (the pre-dual behavior, kept for A/B benches).
-  bool dual_warm_start = true;
 };
 
 /// Per-solve observability (pivot counts and per-phase timers for
 /// Table-2-style benches). Counters and timers cover the cold retry too.
-/// The dense engine reports `pivots` only.
 struct SolveStats {
   /// All basis changes and bound flips, primal and dual phases combined.
   std::size_t pivots = 0;
@@ -106,14 +93,9 @@ struct SolveStats {
   WarmFallback fallback = WarmFallback::kNone;
 };
 
-/// Revised-simplex solve. `warm` (optional, in/out) re-primes this solve and
+/// Solves the LP. `warm` (optional, in/out) re-primes this solve and
 /// captures the optimal basis for the next one; `stats` (optional, out)
 /// reports pivot/refactorization counts.
-LpResult solve_revised(const LpProblem& problem, const SolverOptions& options,
-                       WarmStart* warm = nullptr, SolveStats* stats = nullptr);
-
-/// Engine dispatch: dense oracle or revised sparse per `options.engine`.
-/// The dense engine ignores `warm` (it has no basis representation to prime).
 LpResult solve_with(const LpProblem& problem, const SolverOptions& options = {},
                     WarmStart* warm = nullptr, SolveStats* stats = nullptr);
 

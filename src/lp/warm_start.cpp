@@ -12,8 +12,6 @@ const char* to_string(WarmFallback fallback) noexcept {
       return "shape";
     case WarmFallback::kSingularBasis:
       return "singular";
-    case WarmFallback::kPrimalInfeasible:
-      return "primal-infeasible";
     case WarmFallback::kDualInfeasible:
       return "dual-infeasible";
     case WarmFallback::kDualAborted:

@@ -38,8 +38,6 @@ enum class WarmFallback : std::uint8_t {
   kBasisShapeMismatch,
   /// The stored basis is numerically singular against the new matrix.
   kSingularBasis,
-  /// Re-primed basis is primal infeasible and the dual simplex is disabled.
-  kPrimalInfeasible,
   /// Re-primed basis is primal infeasible and could not be made dual
   /// feasible (objective changed against an unbounded-above column).
   kDualInfeasible,
@@ -47,7 +45,7 @@ enum class WarmFallback : std::uint8_t {
   /// (numerical collapse or iteration stall); the solve reran cold.
   kDualAborted,
 };
-inline constexpr std::size_t kWarmFallbackCount = 7;
+inline constexpr std::size_t kWarmFallbackCount = 6;
 
 /// Short stable name for logs/benches ("none", "signature", ...).
 const char* to_string(WarmFallback fallback) noexcept;
@@ -86,7 +84,7 @@ class WarmStart {
   /// solve.
   bool should_attempt() noexcept;
 
-  // --- engine interface (used by solve_revised) -----------------------------
+  // --- engine interface (used by solve_with) --------------------------------
 
   /// True when the stored basis belongs to an LP with this shape.
   bool compatible(std::size_t num_vars, std::size_t num_cols,

@@ -25,8 +25,9 @@ struct CopeOptions {
   /// (their element-wise peak is added as an extra member).
   std::size_t predicted_set_size = 12;
   ObliviousOptions oblivious;
-  /// LP engine for COPE's own master solves (the stage-1 oblivious solve
-  /// uses `oblivious.solver`). kIterationLimit from any master is an error.
+  /// LP solver knobs for COPE's own master solves (the stage-1 oblivious
+  /// solve uses `oblivious.solver`). kIterationLimit from any master is an
+  /// error.
   lp::SolverOptions solver;
 };
 

@@ -53,8 +53,8 @@ class Harness {
     /// chained only within fixed `warm_chunk` chunks whose boundaries never
     /// depend on the execution width.
     std::size_t threads = 0;
-    /// LP engine for the omniscient-normalizer solves (defaults to the
-    /// sparse revised simplex; set engine = kDenseTableau for the oracle).
+    /// Solver knobs (pivot caps, tolerances) for the omniscient-normalizer
+    /// solves.
     lp::SolverOptions solver;
     /// Upper bound on consecutive snapshots chained through one
     /// lp::WarmStart handle. Chaining serializes solves within a chunk, so

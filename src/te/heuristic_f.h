@@ -26,7 +26,8 @@ struct HeuristicFOptions {
   double breakpoint = 0.8;
   /// Peak window for the anticipated matrix (as in Desensitization TE).
   std::size_t peak_window = 12;
-  /// LP engine for the per-advise solve (warm-started across snapshots).
+  /// LP solver knobs for the per-advise solve (warm-started across
+  /// snapshots).
   lp::SolverOptions solver;
 };
 

@@ -27,9 +27,9 @@ HoseBounds hose_bounds(const PathSet& ps, double scale);
 /// Adversary oracle: the hose-feasible demand maximizing the utilization of
 /// edge `e` under configuration `r` (a transportation LP).
 /// Returns {utilization, argmax demand}. The LP is always feasible and
-/// bounded, so a non-optimal engine verdict (a pivot-budget hit) throws —
+/// bounded, so a non-optimal solver verdict (a pivot-budget hit) throws —
 /// silently reporting utilization 0 could certify a false cutting-plane
-/// convergence. `solver` selects the engine (nullptr = SolverOptions{}).
+/// convergence. `solver` holds the solver knobs (nullptr = SolverOptions{}).
 std::pair<double, traffic::DemandMatrix> worst_demand_for_edge(
     const PathSet& ps, const TeConfig& r, const HoseBounds& hose,
     net::EdgeId e, const lp::SolverOptions* solver = nullptr);

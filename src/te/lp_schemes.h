@@ -5,11 +5,11 @@
 //   * Desensitization TE    (Google Jupiter's "Hedging": LP on the
 //     peak-of-window anticipated matrix with uniform sensitivity caps)
 //
-// Every solve goes through lp::solve_with, so call sites pick the engine
-// (dense tableau oracle vs sparse revised simplex) via lp::SolverOptions and
-// may chain consecutive solves through an lp::WarmStart handle — successive
-// snapshots share the constraint structure, so the previous optimal basis
-// usually re-primes the next solve down to a handful of pivots.
+// Every solve goes through lp::solve_with (the sparse revised simplex), with
+// knobs from lp::SolverOptions, and may chain consecutive solves through an
+// lp::WarmStart handle — successive snapshots share the constraint
+// structure, so the previous optimal basis usually re-primes the next solve
+// down to a handful of pivots.
 #pragma once
 
 #include <optional>
@@ -23,7 +23,7 @@ namespace figret::te {
 struct MluLpResult {
   TeConfig config;
   double mlu = 0.0;
-  /// Engine verdict — callers must propagate non-optimal statuses (most
+  /// Solver verdict — callers must propagate non-optimal statuses (most
   /// importantly kIterationLimit) as errors, never use a partial solution.
   lp::Status status = lp::Status::kIterationLimit;
   /// Simplex pivots spent on this solve (Table 2 observability).
@@ -58,8 +58,7 @@ lp::LpProblem build_mlu_lp(const PathSet& ps,
 ///                entries >= 1 are vacuous and dropped.
 /// `alive`      — optional path mask for fault-aware variants; dead paths
 ///                are excluded entirely (pairs with no live path are skipped).
-/// `solver`     — engine selection/knobs; nullptr uses SolverOptions{} (the
-///                sparse revised simplex).
+/// `solver`     — solver knobs; nullptr uses SolverOptions{}.
 /// `warm`       — optional warm-start handle chaining consecutive solves.
 MluLpResult solve_mlu_lp(const PathSet& ps,
                          const traffic::DemandMatrix& demand,
@@ -101,7 +100,7 @@ class DesensitizationTe final : public TeScheme {
     double sensitivity_bound = 2.0 / 3.0;
     /// Peak window length for the anticipated matrix.
     std::size_t peak_window = 12;
-    /// LP engine selection (defaults to the sparse revised simplex).
+    /// LP solver knobs.
     lp::SolverOptions solver;
   };
 

@@ -15,7 +15,7 @@ void check_shapes(const PathSet& ps, const traffic::DemandMatrix& demand,
 
 // The fused inner body: one active pair's contribution to `out`. Path ids of
 // a pair are contiguous and ascending, so driving this by ascending pair
-// visits paths in exactly the global path-id order of the reference kernel.
+// visits paths in exactly the global path-id order.
 inline void accumulate_pair(const PathSet& ps, const TeConfig& config,
                             std::size_t pair, double d,
                             std::vector<double>& out) {
@@ -45,19 +45,6 @@ void edge_loads_into(const PathSet& ps, const traffic::DemandMatrix& demand,
     if (d == 0.0) return;
     accumulate_pair(ps, config, pair, d, out);
   });
-}
-
-void edge_loads_reference_into(const PathSet& ps,
-                               const traffic::DemandMatrix& demand,
-                               const TeConfig& config,
-                               std::vector<double>& out) {
-  check_shapes(ps, demand, config);
-  out.assign(ps.num_edges(), 0.0);
-  for (std::size_t pid = 0; pid < ps.num_paths(); ++pid) {
-    const double flow = demand[ps.pair_of_path(pid)] * config[pid];
-    if (flow == 0.0) continue;
-    for (net::EdgeId e : ps.path_edges(pid)) out[e] += flow;
-  }
 }
 
 MluResult max_link_utilization(const PathSet& ps,

@@ -7,9 +7,9 @@
 // active pairs (O(nnz) on a sparse fabric snapshot) and then that pair's
 // contiguous path range, instead of testing every global path id. Because
 // paths are stored pair-major in ascending order, the accumulation order —
-// and therefore every bit of the result — matches the historical path-major
-// loop, which survives as edge_loads_reference_into for differential tests
-// and bench baselines.
+// and therefore every bit of the result — matches a path-major loop over
+// every path id; that loop is the differential-test oracle and bench
+// baseline in tests/support/reference_kernels.h.
 #pragma once
 
 #include <vector>
@@ -28,13 +28,6 @@ std::vector<double> edge_loads(const PathSet& ps,
 /// num_edges). Bit-identical to edge_loads.
 void edge_loads_into(const PathSet& ps, const traffic::DemandMatrix& demand,
                      const TeConfig& config, std::vector<double>& out);
-
-/// Pre-optimization path-major kernel, kept as the differential-test oracle
-/// and bench baseline. Bit-identical to edge_loads_into.
-void edge_loads_reference_into(const PathSet& ps,
-                               const traffic::DemandMatrix& demand,
-                               const TeConfig& config,
-                               std::vector<double>& out);
 
 struct MluResult {
   double mlu = 0.0;

@@ -27,8 +27,8 @@ struct ObliviousOptions {
   double tolerance = 1e-3;
   /// Wall-clock budget in seconds; exceeded => not converged ("Infeasible").
   double time_budget_seconds = 120.0;
-  /// LP engine for the master solves. kIterationLimit from any master solve
-  /// is an error (never a silent fallback to the stale incumbent).
+  /// LP solver knobs for the master solves. kIterationLimit from any master
+  /// solve is an error (never a silent fallback to the stale incumbent).
   lp::SolverOptions solver;
 };
 
@@ -46,7 +46,7 @@ ObliviousResult solve_oblivious(const PathSet& ps,
 
 /// Worst-case MLU of a *given* configuration over the hose polytope
 /// (exact: per-edge transportation LPs). Used by tests and by COPE's
-/// penalty-envelope constraint. `solver` selects the LP engine for the
+/// penalty-envelope constraint. `solver` holds the LP solver knobs for the
 /// per-edge adversary solves (nullptr = lp::SolverOptions{}).
 double worst_case_mlu_hose(const PathSet& ps, const TeConfig& config,
                            double hose_scale = 1.0,

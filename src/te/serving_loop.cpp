@@ -13,6 +13,9 @@
 namespace figret::te {
 namespace {
 
+// Cap on the exponential backoff between oracle resolve attempts.
+constexpr double kOracleBackoffMaxSeconds = 0.005;
+
 double seconds_since(std::chrono::steady_clock::time_point start,
                      std::chrono::steady_clock::time_point now) {
   return std::chrono::duration<double>(now - start).count();
@@ -52,24 +55,19 @@ ServingLoop::~ServingLoop() {
 void ServingLoop::start(std::span<TeScheme* const> advisors) {
   if (running_)
     throw std::logic_error("ServingLoop: start() while already running");
-  if (opt_.infer) {
-    if (advisors.size() != workers_)
-      throw std::invalid_argument(
-          "ServingLoop: need exactly one advisor per worker");
-    for (TeScheme* s : advisors)
-      if (s == nullptr)
-        throw std::invalid_argument("ServingLoop: null advisor");
-  }
+  if (advisors.size() != workers_)
+    throw std::invalid_argument(
+        "ServingLoop: need exactly one advisor per worker");
+  for (TeScheme* s : advisors)
+    if (s == nullptr) throw std::invalid_argument("ServingLoop: null advisor");
   stop_.store(false, std::memory_order_relaxed);
   window_ = 1;
   stream_workers_.clear();
   for (std::size_t i = 0; i < workers_; ++i) {
     auto w = std::make_unique<Worker>();
-    if (opt_.infer) {
-      w->advisor = advisors[i];
-      w->window = std::max<std::size_t>(1, advisors[i]->history_window());
-      window_ = std::max(window_, w->window);
-    }
+    w->advisor = advisors[i];
+    w->window = std::max<std::size_t>(1, advisors[i]->history_window());
+    window_ = std::max(window_, w->window);
     stream_workers_.push_back(std::move(w));
   }
   for (auto& w : stream_workers_)
@@ -214,50 +212,47 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
     stats_.chaos_stalls.fetch_add(1, std::memory_order_relaxed);
   }
 
-  const TeConfig* served = &uniform_;
   FallbackRung rung = FallbackRung::kFresh;
 
-  if (opt_.infer) {
-    const auto start = Clock::now();
-    const std::span<const traffic::DemandMatrix> history{
-        trace_->snapshots.data() + (t - w.window), w.window};
-    bool advise_ok = true;
-    try {
-      if (plan != nullptr && plan->corrupt_demand) {
-        // The advisor sees a corrupted copy of its newest input snapshot.
-        w.history_scratch.assign(history.begin(), history.end());
-        chaos->corrupt_demand_into(job.index, history[w.window - 1],
-                                   w.history_scratch[w.window - 1]);
-        w.advisor->advise_into(
-            std::span<const traffic::DemandMatrix>(w.history_scratch.data(),
-                                                   w.window),
-            w.cfg);
-      } else {
-        w.advisor->advise_into(history, w.cfg);
-      }
-    } catch (...) {
-      // A scheme may legitimately blow up on corrupted inputs; with the
-      // ladder on, that is just another invalid output. Without validation
-      // the historical contract holds: the exception surfaces on finish().
-      if (!opt_.validate_outputs) throw;
-      advise_ok = false;
+  const auto advise_start = Clock::now();
+  const std::span<const traffic::DemandMatrix> history{
+      trace_->snapshots.data() + (t - w.window), w.window};
+  bool advise_ok = true;
+  try {
+    if (plan != nullptr && plan->corrupt_demand) {
+      // The advisor sees a corrupted copy of its newest input snapshot.
+      w.history_scratch.assign(history.begin(), history.end());
+      chaos->corrupt_demand_into(job.index, history[w.window - 1],
+                                 w.history_scratch[w.window - 1]);
+      w.advisor->advise_into(
+          std::span<const traffic::DemandMatrix>(w.history_scratch.data(),
+                                                 w.window),
+          w.cfg);
+    } else {
+      w.advisor->advise_into(history, w.cfg);
     }
-    if (advise_ok && plan != nullptr) chaos->corrupt_config(job.index, w.cfg);
-    r.infer_seconds = seconds_since(start, Clock::now());
-    served = &w.cfg;
+  } catch (...) {
+    // A scheme may legitimately blow up on corrupted inputs; with the
+    // ladder on, that is just another invalid output. Without validation
+    // the historical contract holds: the exception surfaces on finish().
+    if (!opt_.validate_outputs) throw;
+    advise_ok = false;
+  }
+  if (advise_ok && plan != nullptr) chaos->corrupt_config(job.index, w.cfg);
+  r.infer_seconds = seconds_since(advise_start, Clock::now());
+  const TeConfig* served = &w.cfg;
 
-    if (opt_.validate_outputs && (!advise_ok || !config_servable(w.cfg))) {
-      stats_.invalid_outputs.fetch_add(1, std::memory_order_relaxed);
-      served = fallback_config(w, job.index, rung);
-    } else if (opt_.validate_outputs && opt_.fallback_last_good &&
-               (plan == nullptr ? chaos == nullptr : plan->clean())) {
-      // Bank this epoch as a rung-1 donor. Under chaos only clean() epochs
-      // qualify — and the donor a degraded epoch resolves to is pinned by
-      // last_clean_before, so the cache is keyed by the donor index.
-      w.last_good_cfg = w.cfg;
-      w.last_good_index = job.index;
-      w.has_last_good = true;
-    }
+  if (opt_.validate_outputs && (!advise_ok || !config_servable(w.cfg))) {
+    stats_.invalid_outputs.fetch_add(1, std::memory_order_relaxed);
+    served = fallback_config(w, job.index, rung);
+  } else if (opt_.validate_outputs && opt_.fallback_last_good &&
+             (plan == nullptr ? chaos == nullptr : plan->clean())) {
+    // Bank this epoch as a rung-1 donor. Under chaos only clean() epochs
+    // qualify — and the donor a degraded epoch resolves to is pinned by
+    // last_clean_before, so the cache is keyed by the donor index.
+    w.last_good_cfg = w.cfg;
+    w.last_good_index = job.index;
+    w.has_last_good = true;
   }
 
   if (opt_.install) {
@@ -293,8 +288,7 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
   r.slo_violation =
       opt_.slo_seconds > 0.0 && r.serve_seconds > opt_.slo_seconds;
 
-  if (opt_.score)
-    r.raw_mlu = te::mlu(*ps_, (*trace_)[t], *served, w.edge_scratch);
+  r.raw_mlu = te::mlu(*ps_, (*trace_)[t], *served, w.edge_scratch);
 
   if (opt_.oracle) {
     const auto start = Clock::now();
@@ -320,7 +314,7 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
       stats_.oracle_retries.fetch_add(1, std::memory_order_relaxed);
       if (backoff > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::min(backoff, opt_.oracle_backoff_max_seconds)));
+            std::min(backoff, kOracleBackoffMaxSeconds)));
         backoff *= 2.0;
       }
     }
@@ -354,7 +348,7 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
   }
 
   stats_.queue.record(r.queue_seconds);
-  if (opt_.infer) stats_.infer.record(r.infer_seconds);
+  stats_.infer.record(r.infer_seconds);
   if (opt_.install) stats_.install.record(r.install_seconds);
   if (opt_.oracle) stats_.lp.record(r.lp_seconds);
   stats_.serve.record(r.serve_seconds);
@@ -368,7 +362,7 @@ void ServingLoop::process_snapshot(Worker& w, const Job& job) {
 
 const TeConfig* ServingLoop::fallback_config(Worker& w, std::uint32_t index,
                                              FallbackRung& rung) {
-  if (opt_.fallback_last_good && opt_.infer) {
+  if (opt_.fallback_last_good) {
     const ChaosEngine* chaos = opt_.chaos;
     if (chaos != nullptr && index >= chaos->begin() && index < chaos->end()) {
       // The donor epoch is a pure function of (schedule, index): every

@@ -92,18 +92,13 @@ class ServingLoop {
     std::size_t queue_capacity = 256;
     /// Serve-latency SLO (submit -> installed); 0 disables SLO accounting.
     double slo_seconds = 0.0;
-    /// Run the scheme's advise_into per snapshot (needs one advisor per
-    /// worker in start()); false serves the uniform configuration.
-    bool infer = true;
     /// Quantize to WCMP weights and serve the realized switch ratios.
     bool install = true;
-    /// Score the served configuration's MLU against the realized demand.
-    bool score = true;
     /// Per-snapshot omniscient warm-LP resolve (the normalizer). Off by
     /// default: it dominates cost and allocates inside the solver.
     bool oracle = false;
     std::uint32_t wcmp_table_size = 16;
-    /// LP engine/knobs for oracle resolves.
+    /// LP solver knobs for oracle resolves.
     lp::SolverOptions solver;
 
     // --- graceful degradation ----------------------------------------------
@@ -119,10 +114,9 @@ class ServingLoop {
     /// instead of throwing — the snapshot still serves.
     double solver_deadline_seconds = 0.0;
     /// Retry attempts (beyond the first) for a failed oracle resolve, with
-    /// bounded exponential backoff between attempts.
+    /// exponential backoff between attempts starting here (capped at 5 ms).
     std::size_t oracle_retries = 2;
     double oracle_backoff_seconds = 0.0002;
-    double oracle_backoff_max_seconds = 0.005;
     /// Optional fault-injection schedule (borrowed; must outlive the run).
     /// Workers consult it read-only, keyed by trace index.
     const ChaosEngine* chaos = nullptr;
@@ -143,9 +137,9 @@ class ServingLoop {
   /// between benchmark passes). Only safe while no snapshot is in flight.
   ServingStats& stats() noexcept { return stats_; }
 
-  /// Spawns the workers. When `infer` is on, `advisors` supplies exactly one
-  /// fitted TeScheme per worker (advise is stateful, so instances must be
-  /// distinct — clone via FigretScheme::save/load or construct per worker).
+  /// Spawns the workers. `advisors` supplies exactly one fitted TeScheme per
+  /// worker (advise is stateful, so instances must be distinct — clone via
+  /// FigretScheme::save/load or construct per worker).
   void start(std::span<TeScheme* const> advisors);
 
   /// Single-producer submission of trace index `index` (which must have at

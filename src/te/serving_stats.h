@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <iosfwd>
 
-#include "lp/simplex.h"
+#include "lp/problem.h"
 #include "lp/warm_start.h"
 #include "util/latency.h"
 

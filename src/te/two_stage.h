@@ -24,7 +24,8 @@ struct TwoStageOptions {
   double max_bound = 2.0 / 3.0;
   double min_bound = 1.0 / 3.0;
   std::size_t window = 12;
-  /// LP engine for the per-advise solve (warm-started across snapshots).
+  /// LP solver knobs for the per-advise solve (warm-started across
+  /// snapshots).
   lp::SolverOptions solver;
 };
 

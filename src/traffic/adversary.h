@@ -52,7 +52,7 @@ struct AdversaryOptions {
   /// Keep every evaluated candidate in the result (feasibility audits).
   bool record_candidates = false;
   std::uint64_t seed = 1;
-  /// Engine for the omniscient normalizer solves.
+  /// LP solver knobs for the omniscient normalizer solves.
   lp::SolverOptions solver;
 };
 

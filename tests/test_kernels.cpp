@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "nn/mlp.h"
+#include "support/reference_kernels.h"
 #include "util/rng.h"
 
 namespace figret {
@@ -55,7 +57,7 @@ TEST(TiledKernels, MatmulMatchesReferenceOnRaggedShapes) {
   for (const Shape& s : kShapes) {
     const auto a = random_matrix(s.m, s.k, rng);
     const auto b = random_matrix(s.k, s.n, rng);
-    expect_near(a.matmul(b), a.matmul_reference(b));
+    expect_near(a.matmul(b), linalg::matmul_reference(a, b));
   }
 }
 
@@ -64,7 +66,7 @@ TEST(TiledKernels, TMatmulMatchesReferenceOnRaggedShapes) {
   for (const Shape& s : kShapes) {
     const auto a = random_matrix(s.k, s.m, rng);
     const auto b = random_matrix(s.k, s.n, rng);
-    expect_near(a.t_matmul(b), a.t_matmul_reference(b));
+    expect_near(a.t_matmul(b), linalg::t_matmul_reference(a, b));
   }
 }
 
@@ -73,7 +75,7 @@ TEST(TiledKernels, MatmulTMatchesReferenceOnRaggedShapes) {
   for (const Shape& s : kShapes) {
     const auto a = random_matrix(s.m, s.k, rng);
     const auto b = random_matrix(s.n, s.k, rng);
-    expect_near(a.matmul_t(b), a.matmul_t_reference(b));
+    expect_near(a.matmul_t(b), linalg::matmul_t_reference(a, b));
   }
 }
 
@@ -88,24 +90,10 @@ TEST(TiledKernels, ZeroHeavyOperandsStillMatch) {
       if (rng.bernoulli(0.7)) v = 0.0;
     for (double& v : b.flat())
       if (rng.bernoulli(0.4)) v = 0.0;
-    expect_near(a.matmul(b), a.matmul_reference(b));
+    expect_near(a.matmul(b), linalg::matmul_reference(a, b));
     const auto at = a.transposed();
-    expect_near(at.t_matmul(b), at.t_matmul_reference(b));
+    expect_near(at.t_matmul(b), linalg::t_matmul_reference(at, b));
   }
-}
-
-TEST(TiledKernels, KernelModeRoutesThroughReference) {
-  util::Rng rng(105);
-  const auto a = random_matrix(9, 13, rng);
-  const auto b = random_matrix(13, 6, rng);
-  ASSERT_EQ(linalg::kernel_mode(), linalg::KernelMode::kTiled);
-  linalg::set_kernel_mode(linalg::KernelMode::kReference);
-  const auto via_mode = a.matmul(b);
-  linalg::set_kernel_mode(linalg::KernelMode::kTiled);
-  const auto direct = a.matmul_reference(b);
-  // Same kernel, same order: bit-identical.
-  for (std::size_t i = 0; i < via_mode.size(); ++i)
-    EXPECT_EQ(via_mode.flat()[i], direct.flat()[i]);
 }
 
 TEST(TiledKernels, DotMatvecAndMatmulTShareReductionOrder) {
@@ -135,7 +123,7 @@ TEST(TiledKernels, KTiledMatmulTMatchesSinglePassBitExactly) {
     const auto a = random_matrix(3, k, rng);
     const auto b = random_matrix(5, k, rng);
     const auto tiled = a.matmul_t(b);
-    expect_near(tiled, a.matmul_t_reference(b));
+    expect_near(tiled, linalg::matmul_t_reference(a, b));
     for (std::size_t i = 0; i < a.rows(); ++i)
       for (std::size_t j = 0; j < b.rows(); ++j)
         EXPECT_EQ(tiled(i, j), linalg::dot(a.row(i), b.row(j)))
@@ -152,10 +140,38 @@ TEST(TiledKernels, RandomizedShapesSweep) {
     const auto a = random_matrix(m, k, rng);
     const auto b = random_matrix(k, n, rng);
     const auto bt = b.transposed();
-    expect_near(a.matmul(b), a.matmul_reference(b));
-    expect_near(a.matmul_t(bt), a.matmul_t_reference(bt));
+    expect_near(a.matmul(b), linalg::matmul_reference(a, b));
+    expect_near(a.matmul_t(bt), linalg::matmul_t_reference(a, bt));
     const auto at = a.transposed();
-    expect_near(at.t_matmul(b), at.t_matmul_reference(b));
+    expect_near(at.t_matmul(b), linalg::t_matmul_reference(at, b));
+  }
+}
+
+TEST(TiledKernels, MlpForwardBatchMatchesReference) {
+  // The reference forward is what the fabric-scale bench's MLP speedup gate
+  // divides by: it must compute the same function as forward_batch.
+  util::Rng rng(109);
+  for (const nn::OutputActivation head :
+       {nn::OutputActivation::kSigmoid, nn::OutputActivation::kIdentity}) {
+    nn::MlpConfig cfg;
+    cfg.layer_sizes = {37, 24, 19, 11};
+    cfg.output = head;
+    cfg.seed = 5;
+    nn::Mlp mlp(cfg);
+    for (auto& b : mlp.biases())
+      for (double& v : b) v = rng.uniform(-0.5, 0.5);
+    auto x = random_matrix(6, 37, rng);
+    for (double& v : x.flat())
+      if (rng.bernoulli(0.5)) v = 0.0;
+    nn::MlpBatchWorkspace ws;
+    const linalg::Matrix& got = mlp.forward_batch(x, ws);
+    const linalg::Matrix want = nn::mlp_forward_batch_reference(mlp, x);
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_NEAR(got.flat()[i], want.flat()[i],
+                  1e-12 * std::max(1.0, std::abs(want.flat()[i])))
+          << "element " << i << " head " << static_cast<int>(head);
   }
 }
 

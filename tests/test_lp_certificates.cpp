@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "lp/revised_simplex.h"
 #include "net/topology.h"
 #include "net/yen.h"
+#include "support/dense_simplex.h"
 #include "te/lp_schemes.h"
 #include "te/pathset.h"
 #include "traffic/generators.h"
@@ -19,25 +21,17 @@ namespace {
 
 constexpr double kTol = 1e-6;
 
-std::vector<SolverOptions> both_engines() {
-  SolverOptions dense;
-  dense.engine = Engine::kDenseTableau;
-  SolverOptions revised;
-  revised.engine = Engine::kRevisedSparse;
-  return {dense, revised};
-}
-
 void expect_certified(const LpProblem& p, const char* label) {
-  for (const SolverOptions& opt : both_engines()) {
-    const LpResult r = solve_with(p, opt);
-    ASSERT_EQ(r.status, Status::kOptimal)
-        << label << " engine " << static_cast<int>(opt.engine);
+  const std::pair<const char*, LpResult> results[] = {
+      {"dense", solve_dense(p)}, {"revised", solve_with(p)}};
+  for (const auto& [engine, r] : results) {
+    ASSERT_EQ(r.status, Status::kOptimal) << label << " engine " << engine;
     const CertificateReport rep = check_certificate(p, r);
     EXPECT_TRUE(rep.ok(kTol))
-        << label << " engine " << static_cast<int>(opt.engine)
-        << ": primal " << rep.primal_violation << " dual "
-        << rep.dual_violation << " slack " << rep.slackness_violation
-        << " gap " << rep.duality_gap;
+        << label << " engine " << engine << ": primal "
+        << rep.primal_violation << " dual " << rep.dual_violation
+        << " slack " << rep.slackness_violation << " gap "
+        << rep.duality_gap;
   }
 }
 
@@ -93,7 +87,7 @@ TEST(LpCertificates, CheckerRejectsTamperedSolutions) {
   LpProblem p;
   const auto x = p.add_variable(-1.0, 2.0);
   p.add_constraint({{x, 1.0}}, Relation::kLessEq, 5.0);
-  LpResult r = solve(p);
+  LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   ASSERT_TRUE(check_certificate(p, r).ok(kTol));
   LpResult bad_x = r;
@@ -109,7 +103,7 @@ TEST(LpCertificates, NotCheckedWhenNotOptimal) {
   const auto x = p.add_variable(1.0);
   p.add_constraint({{x, 1.0}}, Relation::kGreaterEq, 5.0);
   p.add_constraint({{x, 1.0}}, Relation::kLessEq, 2.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_EQ(r.status, Status::kInfeasible);
   EXPECT_FALSE(check_certificate(p, r).checked);
 }

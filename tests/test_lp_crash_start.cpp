@@ -20,6 +20,7 @@
 #include "net/yen.h"
 #include "te/failover.h"
 #include "te/lp_schemes.h"
+#include "support/dense_simplex.h"
 #include "te/pathset.h"
 #include "traffic/generators.h"
 
@@ -124,9 +125,7 @@ Solved check_case(const lp::LpProblem& prob, bool all_paths,
   EXPECT_EQ(prob.start_basis().size(), prob.num_constraints()) << what;
   const Solved crash = revised(prob);
   const Solved two_phase = revised(without_hint(prob));
-  lp::SolverOptions dense_opt;
-  dense_opt.engine = lp::Engine::kDenseTableau;
-  const lp::LpResult dense = lp::solve_with(prob, dense_opt);
+  const lp::LpResult dense = lp::solve_dense(prob);
 
   EXPECT_EQ(crash.result.status, lp::Status::kOptimal) << what;
   expect_same_optimum(crash.result, two_phase.result, what + " vs two-phase");

@@ -10,10 +10,25 @@
 
 #include "lp/certificates.h"
 #include "lp/revised_simplex.h"
-#include "lp/simplex.h"
+#include "support/dense_simplex.h"
 
 namespace figret::lp {
 namespace {
+
+LpResult solve_revised(const LpProblem& p, const SolveOptions& simplex) {
+  SolverOptions opt;
+  opt.simplex = simplex;
+  return solve_with(p, opt);
+}
+
+// Every case runs on both engines: the dense oracle and the library's
+// revised simplex.
+struct EngineCase {
+  const char* name;
+  LpResult (*solve)(const LpProblem&, const SolveOptions&);
+};
+constexpr EngineCase kEngines[] = {{"dense", solve_dense},
+                                   {"revised", solve_revised}};
 
 // Beale (1955): min -3/4 x1 + 150 x2 - 1/50 x3 + 6 x4. Dantzig pricing with
 // naive tie-breaking cycles forever on this instance; the optimum is -1/20
@@ -57,18 +72,15 @@ void expect_optimal_both(const LpProblem& p, double expected,
   // Tight enough that a cycle would trip the limit instead of "terminating"
   // by exhausting the default budget.
   simplex.max_iterations = 5000;
-  for (const Engine engine : {Engine::kDenseTableau, Engine::kRevisedSparse}) {
-    SolverOptions opt;
-    opt.engine = engine;
-    opt.simplex = simplex;
-    const LpResult r = solve_with(p, opt);
+  for (const EngineCase& engine : kEngines) {
+    const LpResult r = engine.solve(p, simplex);
     ASSERT_EQ(r.status, Status::kOptimal)
-        << label << " engine " << static_cast<int>(engine) << " bland_after "
+        << label << " engine " << engine.name << " bland_after "
         << bland_after;
     EXPECT_NEAR(r.objective, expected, 1e-8)
-        << label << " engine " << static_cast<int>(engine);
+        << label << " engine " << engine.name;
     EXPECT_TRUE(check_certificate(p, r).ok(1e-6))
-        << label << " engine " << static_cast<int>(engine);
+        << label << " engine " << engine.name;
   }
 }
 
@@ -103,13 +115,13 @@ TEST(LpDegeneracy, WarmStartAfterBoundTighteningNonBinding) {
   WarmStart warm;
   SolverOptions opt;
   SolveStats stats;
-  const LpResult first = solve_revised(p, opt, &warm, &stats);
+  const LpResult first = solve_with(p, opt, &warm, &stats);
   ASSERT_TRUE(first.optimal());
   EXPECT_NEAR(first.objective, -36.0, 1e-8);  // x = 2, y = 6
 
   p.set_upper_bound(x, 8.0);  // optimum has x = 2: basis stays feasible
   p.set_upper_bound(y, 7.0);  // and y = 6 < 7
-  const LpResult second = solve_revised(p, opt, &warm, &stats);
+  const LpResult second = solve_with(p, opt, &warm, &stats);
   ASSERT_TRUE(second.optimal());
   EXPECT_NEAR(second.objective, -36.0, 1e-8);
   EXPECT_TRUE(stats.warm_start_used);
@@ -129,17 +141,17 @@ TEST(LpDegeneracy, WarmStartAfterBoundTighteningBinding) {
 
   WarmStart warm;
   SolverOptions opt;
-  const LpResult first = solve_revised(p, opt, &warm);
+  const LpResult first = solve_with(p, opt, &warm);
   ASSERT_TRUE(first.optimal());
 
   p.set_upper_bound(y, 4.0);  // previous optimum had y = 6: now infeasible
-  const LpResult second = solve_revised(p, opt, &warm);
+  const LpResult second = solve_with(p, opt, &warm);
   ASSERT_TRUE(second.optimal());
   // With y <= 4: x <= 4 and 3x + 2y <= 18 give x = 10/3, y = 4, obj -30.
   EXPECT_NEAR(second.objective, -30.0, 1e-8);
   EXPECT_TRUE(check_certificate(p, second).ok(1e-6));
   // Fresh dense solve agrees — the oracle for the warm path.
-  const LpResult oracle = solve(p);
+  const LpResult oracle = solve_dense(p);
   ASSERT_TRUE(oracle.optimal());
   EXPECT_NEAR(second.objective, oracle.objective, 1e-8);
 }
@@ -158,38 +170,42 @@ TEST(LpDegeneracy, RhsOnlyTighteningUsesDualNotCold) {
 
   WarmStart warm;
   SolverOptions opt;
-  ASSERT_TRUE(solve_revised(p, opt, &warm).optimal());  // x = 2, y = 6
+  ASSERT_TRUE(solve_with(p, opt, &warm).optimal());  // x = 2, y = 6
 
   // Tighten the joint capacity below the incumbent activity (3*2 + 2*6 = 18
   // -> cap 10). Re-pricing the stored basis against the new RHS drives its
   // x-component negative: primal infeasible, still dual feasible.
   p.set_rhs(2, 10.0);
   SolveStats stats;
-  const LpResult second = solve_revised(p, opt, &warm, &stats);
+  const LpResult second = solve_with(p, opt, &warm, &stats);
   ASSERT_TRUE(second.optimal());
   EXPECT_TRUE(stats.warm_start_used);
   EXPECT_TRUE(stats.dual_simplex_used);
   EXPECT_EQ(stats.fallback, WarmFallback::kNone)
       << "fell back: " << to_string(stats.fallback);
   EXPECT_EQ(warm.misses(), 0u);
-  const LpResult oracle = solve(p);
+  const LpResult oracle = solve_dense(p);
   ASSERT_TRUE(oracle.optimal());
   EXPECT_NEAR(second.objective, oracle.objective, 1e-8);
   EXPECT_TRUE(check_certificate(p, second).ok(1e-6));
 
-  // A/B knob: the same kind of resolve with the dual path disabled is the
-  // pre-fix behavior — a cold fallback, recorded as such.
+  // A second RHS-only resolve, from a fresh chain whose incumbent breaks a
+  // different row, takes the dual path as well.
   WarmStart warm2;
-  ASSERT_TRUE(solve_revised(p, opt, &warm2).optimal());  // x = 0, y = 5
+  ASSERT_TRUE(solve_with(p, opt, &warm2).optimal());  // x = 0, y = 5
   p.set_rhs(1, 4.0);  // 2y <= 4: the incumbent y = 5 is infeasible
-  SolverOptions no_dual = opt;
-  no_dual.dual_warm_start = false;
   SolveStats stats2;
-  const LpResult third = solve_revised(p, no_dual, &warm2, &stats2);
+  const LpResult third = solve_with(p, opt, &warm2, &stats2);
   ASSERT_TRUE(third.optimal());
-  EXPECT_FALSE(stats2.warm_start_used);
-  EXPECT_EQ(stats2.fallback, WarmFallback::kPrimalInfeasible);
-  EXPECT_EQ(warm2.misses_by(WarmFallback::kPrimalInfeasible), 1u);
+  EXPECT_TRUE(stats2.warm_start_used);
+  EXPECT_TRUE(stats2.dual_simplex_used);
+  EXPECT_EQ(stats2.fallback, WarmFallback::kNone)
+      << "fell back: " << to_string(stats2.fallback);
+  EXPECT_EQ(warm2.misses(), 0u);
+  const LpResult oracle2 = solve_dense(p);
+  ASSERT_TRUE(oracle2.optimal());
+  EXPECT_NEAR(third.objective, oracle2.objective, 1e-8);
+  EXPECT_TRUE(check_certificate(p, third).ok(1e-6));
 }
 
 TEST(LpDegeneracy, BetaClampTracksFeasibilityTolerance) {
@@ -209,16 +225,12 @@ TEST(LpDegeneracy, BetaClampTracksFeasibilityTolerance) {
     simplex.feasibility_tolerance = feas;
     simplex.max_iterations = 5000;
     simplex.bland_after = 0;  // Beale cycles under pure Dantzig
-    for (const Engine engine :
-         {Engine::kDenseTableau, Engine::kRevisedSparse}) {
-      SolverOptions opt;
-      opt.engine = engine;
-      opt.simplex = simplex;
-      const LpResult r = solve_with(beale(), opt);
+    for (const EngineCase& engine : kEngines) {
+      const LpResult r = engine.solve(beale(), simplex);
       ASSERT_EQ(r.status, Status::kOptimal)
-          << "feas " << feas << " engine " << static_cast<int>(engine);
+          << "feas " << feas << " engine " << engine.name;
       EXPECT_NEAR(r.objective, -0.05, 1e-7)
-          << "feas " << feas << " engine " << static_cast<int>(engine);
+          << "feas " << feas << " engine " << engine.name;
     }
   }
 }
@@ -231,11 +243,11 @@ TEST(LpDegeneracy, FallbackReasonsRecorded) {
   // Structural change (extra row) -> signature mismatch.
   WarmStart warm;
   SolverOptions opt;
-  ASSERT_TRUE(solve_revised(p, opt, &warm).optimal());
+  ASSERT_TRUE(solve_with(p, opt, &warm).optimal());
   LpProblem q = p;
   q.add_constraint({{x, 2.0}}, Relation::kLessEq, 10.0);
   SolveStats stats;
-  ASSERT_TRUE(solve_revised(q, opt, &warm, &stats).optimal());
+  ASSERT_TRUE(solve_with(q, opt, &warm, &stats).optimal());
   EXPECT_EQ(stats.fallback, WarmFallback::kSignatureMismatch);
   EXPECT_EQ(warm.misses_by(WarmFallback::kSignatureMismatch), 1u);
 
@@ -247,13 +259,11 @@ TEST(LpDegeneracy, FallbackReasonsRecorded) {
 
 TEST(LpDegeneracy, IterationLimitStillReported) {
   // The anti-cycling machinery must not mask a genuine pivot-budget hit.
-  for (const Engine engine : {Engine::kDenseTableau, Engine::kRevisedSparse}) {
-    SolverOptions opt;
-    opt.engine = engine;
-    opt.simplex.max_iterations = 1;
-    const LpResult r = solve_with(beale(), opt);
-    EXPECT_EQ(r.status, Status::kIterationLimit)
-        << "engine " << static_cast<int>(engine);
+  for (const EngineCase& engine : kEngines) {
+    SolveOptions simplex;
+    simplex.max_iterations = 1;
+    const LpResult r = engine.solve(beale(), simplex);
+    EXPECT_EQ(r.status, Status::kIterationLimit) << "engine " << engine.name;
   }
 }
 

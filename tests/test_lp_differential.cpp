@@ -12,7 +12,7 @@
 
 #include "lp/certificates.h"
 #include "lp/revised_simplex.h"
-#include "lp/simplex.h"
+#include "support/dense_simplex.h"
 #include "util/rng.h"
 
 namespace figret::lp {
@@ -26,13 +26,10 @@ struct Differential {
 };
 
 Differential solve_both(const LpProblem& p) {
-  SolverOptions dense;
-  dense.engine = Engine::kDenseTableau;
   SolverOptions revised;
-  revised.engine = Engine::kRevisedSparse;
-  // Exercise the eta-file refactorization path even on small instances.
+  // Exercise the LU refactorization path even on small instances.
   revised.refactor_interval = 16;
-  return {solve_with(p, dense), solve_with(p, revised)};
+  return {solve_dense(p), solve_with(p, revised)};
 }
 
 void expect_agreement(const LpProblem& p, std::uint64_t seed) {
@@ -188,8 +185,8 @@ TEST(LpDifferential, WarmStartAgreesWithCold) {
     util::Rng perturb(seed);  // ... with per-seed objective/rhs noise
     for (std::size_t j = 0; j < p.num_variables(); ++j)
       p.set_objective(j, p.objective()[j] + perturb.uniform(-0.3, 0.3));
-    const LpResult cold = solve(p);
-    const LpResult hot = solve_revised(p, revised, &warm);
+    const LpResult cold = solve_dense(p);
+    const LpResult hot = solve_with(p, revised, &warm);
     ASSERT_EQ(cold.status, hot.status) << "seed " << seed;
     if (!cold.optimal()) continue;
     const double scale = 1.0 + std::abs(cold.objective);
@@ -214,16 +211,16 @@ TEST(LpDifferential, DualWarmBatteryAgreesWithColdOnSeededInstances) {
     LpProblem p = random_feasible(rng);
     WarmStart warm;
     SolverOptions revised;
-    const LpResult first = solve_revised(p, revised, &warm);
+    const LpResult first = solve_with(p, revised, &warm);
     if (!first.optimal()) continue;
 
     util::Rng noise(seed ^ 0x5eedULL);
     for (std::size_t r = 0; r < p.num_constraints(); ++r)
       p.set_rhs(r, p.rows()[r].rhs * (1.0 + noise.uniform(-0.15, 0.15)));
 
-    const LpResult cold = solve(p);
+    const LpResult cold = solve_dense(p);
     SolveStats stats;
-    const LpResult hot = solve_revised(p, revised, &warm, &stats);
+    const LpResult hot = solve_with(p, revised, &warm, &stats);
     ASSERT_EQ(cold.status, hot.status) << "seed " << seed;
     warm_used += stats.warm_start_used ? 1 : 0;
     dual_used += stats.dual_simplex_used ? 1 : 0;
@@ -258,16 +255,16 @@ TEST(LpDifferential, RhsPerturbationChainNeverFallsBackCold) {
     }
     WarmStart warm;
     SolverOptions revised;
-    ASSERT_TRUE(solve_revised(p, revised, &warm).optimal()) << chain;
+    ASSERT_TRUE(solve_with(p, revised, &warm).optimal()) << chain;
 
     for (int step = 0; step < 12; ++step) {
       // Multiplicative tightening/loosening keeps every rhs positive: the
       // signature cannot change, so any fallback is a real regression.
       for (std::size_t r = 0; r < p.num_constraints(); ++r)
         p.set_rhs(r, p.rows()[r].rhs * rng.uniform(0.7, 1.1));
-      const LpResult cold = solve(p);
+      const LpResult cold = solve_dense(p);
       SolveStats stats;
-      const LpResult hot = solve_revised(p, revised, &warm, &stats);
+      const LpResult hot = solve_with(p, revised, &warm, &stats);
       ASSERT_EQ(cold.status, hot.status) << "chain " << chain << " step "
                                          << step;
       EXPECT_TRUE(stats.warm_start_used)
@@ -328,8 +325,8 @@ TEST(LpDifferential, WarmStartAgreesAcrossCoefficientAndRhsChanges) {
         p.add_constraint(std::move(terms), Relation::kEq, activity);
       }
     }
-    const LpResult cold = solve(p);
-    const LpResult hot = solve_revised(p, revised, &warm);
+    const LpResult cold = solve_dense(p);
+    const LpResult hot = solve_with(p, revised, &warm);
     ASSERT_EQ(cold.status, hot.status) << "seed " << seed;
     if (!cold.optimal()) continue;
     const double scale = 1.0 + std::abs(cold.objective);

@@ -32,8 +32,6 @@
 namespace figret::lp {
 namespace {
 
-constexpr LuFactorization::Options kOpt{1e-10, 0.01, 1e-14};
-
 // Random column pool with a guaranteed-nonsingular leading m-column basis
 // (diagonal dominance on the first m columns, random sparse fill elsewhere).
 SparseMatrix random_pool(util::Rng& rng, std::size_t m, std::size_t ncols,
@@ -80,7 +78,7 @@ TEST(LpLu, FactorizeSolvesRandomBases) {
     for (std::size_t i = 0; i < m; ++i)
       basis[i] = static_cast<std::uint32_t>(i);
     LuFactorization lu;
-    ASSERT_TRUE(lu.factorize(A, basis, kOpt)) << "seed " << seed;
+    ASSERT_TRUE(lu.factorize(A, basis)) << "seed " << seed;
     EXPECT_LT(basis_residual(lu, A, basis), 1e-9) << "seed " << seed;
   }
 }
@@ -96,7 +94,7 @@ TEST(LpLu, BtranIsTheTransposedSolve) {
     for (std::size_t i = 0; i < m; ++i)
       basis[i] = static_cast<std::uint32_t>(i);
     LuFactorization lu;
-    ASSERT_TRUE(lu.factorize(A, basis, kOpt));
+    ASSERT_TRUE(lu.factorize(A, basis));
     std::vector<double> c(m);
     for (double& v : c) v = rng.uniform(-2.0, 2.0);
     std::vector<double> y = c;
@@ -121,7 +119,7 @@ TEST(LpLu, UpdateTracksColumnReplacements) {
     for (std::size_t i = 0; i < m; ++i)
       basis[i] = static_cast<std::uint32_t>(i);
     LuFactorization lu;
-    ASSERT_TRUE(lu.factorize(A, basis, kOpt));
+    ASSERT_TRUE(lu.factorize(A, basis));
 
     for (int step = 0; step < 30; ++step) {
       const auto j = static_cast<std::uint32_t>(rng.uniform_index(ncols));
@@ -138,7 +136,7 @@ TEST(LpLu, UpdateTracksColumnReplacements) {
         // A refusal must leave the factorization flagged for rebuild.
         EXPECT_FALSE(lu.valid());
         basis[slot] = j;
-        ASSERT_TRUE(lu.factorize(A, basis, kOpt));
+        ASSERT_TRUE(lu.factorize(A, basis));
         continue;
       }
       ++accepted;
@@ -165,7 +163,7 @@ TEST(LpLu, UpdateRefusesInconsistentPivotEstimate) {
   std::vector<std::uint32_t> basis(m);
   for (std::size_t i = 0; i < m; ++i) basis[i] = static_cast<std::uint32_t>(i);
   LuFactorization lu;
-  ASSERT_TRUE(lu.factorize(A, basis, kOpt));
+  ASSERT_TRUE(lu.factorize(A, basis));
   std::vector<double> v(m, 0.0);
   A.scatter_col(m + 3, v);
   lu.ftran(v, /*save_spike=*/true);
@@ -189,7 +187,7 @@ TEST(LpLu, RelativeDropKeepsIllScaledEntries) {
     for (std::size_t i = 0; i < m; ++i)
       basis[i] = static_cast<std::uint32_t>(i);
     LuFactorization lu;
-    ASSERT_TRUE(lu.factorize(A, basis, kOpt)) << "scale " << scale;
+    ASSERT_TRUE(lu.factorize(A, basis)) << "scale " << scale;
     EXPECT_LT(basis_residual(lu, A, basis), 1e-8) << "scale " << scale;
   }
 }
@@ -202,11 +200,16 @@ TEST(LpLu, RelativeDropKeepsIllScaledEntries) {
 // shortest row passing threshold partial pivoting — found by rescanning every
 // active column at every step, with the same elimination arithmetic, plus
 // the L/U solves of a fresh factorization. `revived` counts columns skipped
-// as unusable at some step and pivoted at a later one.
+// as unusable at some step and pivoted at a later one. Its tolerances are a
+// copy of the constants in lp/lu.cpp.
 class FullScanLu {
+  static constexpr double kAbsPivotTol = 1e-10;
+  static constexpr double kRelPivotTol = 0.01;
+  static constexpr double kDropTol = 1e-14;
+
  public:
-  bool factorize(const SparseMatrix& A, const std::vector<std::uint32_t>& basis,
-                 LuFactorization::Options opt) {
+  bool factorize(const SparseMatrix& A,
+                 const std::vector<std::uint32_t>& basis) {
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     m_ = basis.size();
     lcols_.clear();
@@ -239,12 +242,12 @@ class FullScanLu {
         if (c.size() >= best_nnz) continue;
         double cmax = 0.0;
         for (const auto& [row, val] : c) cmax = std::max(cmax, std::abs(val));
-        if (cmax < opt.abs_pivot_tol) {
+        if (cmax < kAbsPivotTol) {
           if (!c.empty()) skipped[j] = true;
           continue;
         }
         const double thresh =
-            std::max(opt.abs_pivot_tol, opt.rel_pivot_tol * cmax);
+            std::max(kAbsPivotTol, kRelPivotTol * cmax);
         std::size_t cand_r = kNone;
         double cand_v = 0.0;
         std::uint32_t cand_rc = std::numeric_limits<std::uint32_t>::max();
@@ -307,7 +310,7 @@ class FullScanLu {
         double cmax = 0.0;
         for (const std::uint32_t row : touched)
           cmax = std::max(cmax, std::abs(dval[row]));
-        const double drop = opt.drop_tol * cmax;
+        const double drop = kDropTol * cmax;
         col.clear();
         for (const std::uint32_t row : touched) {
           const double v = dval[row];
@@ -403,10 +406,9 @@ bool same_bits(double a, double b) {
 bool expect_same_as_full_scan(LuFactorization& lu, FullScanLu& oracle,
                               const SparseMatrix& A,
                               const std::vector<std::uint32_t>& basis,
-                              const std::string& what,
-                              LuFactorization::Options opt = kOpt) {
-  const bool ok = oracle.factorize(A, basis, opt);
-  EXPECT_EQ(lu.factorize(A, basis, opt), ok) << what;
+                              const std::string& what) {
+  const bool ok = oracle.factorize(A, basis);
+  EXPECT_EQ(lu.factorize(A, basis), ok) << what;
   if (!ok || !lu.valid()) return false;
   const std::size_t m = basis.size();
   EXPECT_EQ(lu.fill_nnz(), oracle.fill_nnz()) << what;
@@ -504,13 +506,13 @@ TEST(LpLu, SingularBasisLeavesTheObjectReusable) {
   twice[m - 1] = twice[3];  // a repeated column: singular
   LuFactorization lu;
   FullScanLu oracle;
-  EXPECT_FALSE(lu.factorize(A, twice, kOpt));
+  EXPECT_FALSE(lu.factorize(A, twice));
   EXPECT_FALSE(lu.valid());
   expect_same_as_full_scan(lu, oracle, A, good, "after singular");
   EXPECT_LT(basis_residual(lu, A, good), 1e-9);
   // A basis with an all-zero column fails at once; the object recovers again.
   const SparseMatrix Z = SparseMatrix::from_triplets(2, 2, {{0, 0, 1.0}});
-  EXPECT_FALSE(lu.factorize(Z, {0, 1}, kOpt));
+  EXPECT_FALSE(lu.factorize(Z, {0, 1}));
   expect_same_as_full_scan(lu, oracle, A, good, "after zero column");
 }
 

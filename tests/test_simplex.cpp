@@ -1,4 +1,4 @@
-#include "lp/simplex.h"
+#include "support/dense_simplex.h"
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@ TEST(Simplex, SimpleTwoVariableMaximization) {
   p.add_constraint({{x, 1.0}}, Relation::kLessEq, 4.0);
   p.add_constraint({{y, 2.0}}, Relation::kLessEq, 12.0);
   p.add_constraint({{x, 3.0}, {y, 2.0}}, Relation::kLessEq, 18.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.objective, -36.0, 1e-8);
   EXPECT_NEAR(r.x[x], 2.0, 1e-8);
@@ -32,7 +32,7 @@ TEST(Simplex, EqualityConstraint) {
   const auto x = p.add_variable(1.0, 4.0);
   const auto y = p.add_variable(2.0);
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kEq, 10.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.objective, 16.0, 1e-8);
   EXPECT_NEAR(r.x[x], 4.0, 1e-8);
@@ -48,7 +48,7 @@ TEST(Simplex, GreaterEqualConstraint) {
   const auto y = p.add_variable(3.0);
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kGreaterEq, 4.0);
   p.add_constraint({{x, 1.0}, {y, -1.0}}, Relation::kGreaterEq, -2.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.objective, 8.0, 1e-8);
   EXPECT_NEAR(r.x[x], 4.0, 1e-8);
@@ -59,7 +59,7 @@ TEST(Simplex, VariableUpperBoundBinds) {
   LpProblem p;
   const auto x = p.add_variable(-1.0, 3.0);
   p.add_constraint({{x, 1.0}}, Relation::kLessEq, 100.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.x[x], 3.0, 1e-8);
   EXPECT_NEAR(r.objective, -3.0, 1e-8);
@@ -71,7 +71,7 @@ TEST(Simplex, BoundedVariablesCombineWithRows) {
   const auto x = p.add_variable(-1.0, 0.6);
   const auto y = p.add_variable(-1.0, 0.7);
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kLessEq, 1.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.objective, -1.0, 1e-8);
   EXPECT_LE(r.x[x], 0.6 + 1e-9);
@@ -85,7 +85,7 @@ TEST(Simplex, InfeasibleDetected) {
   const auto x = p.add_variable(1.0);
   p.add_constraint({{x, 1.0}}, Relation::kGreaterEq, 5.0);
   p.add_constraint({{x, 1.0}}, Relation::kLessEq, 2.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   EXPECT_EQ(r.status, Status::kInfeasible);
 }
 
@@ -95,7 +95,7 @@ TEST(Simplex, InfeasibleEqualitySystem) {
   const auto y = p.add_variable(0.0);
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kEq, 1.0);
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kEq, 2.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   EXPECT_EQ(r.status, Status::kInfeasible);
 }
 
@@ -106,7 +106,7 @@ TEST(Simplex, UnboundedDetected) {
   const auto y = p.add_variable(1.0);
   p.add_constraint({{y, 1.0}}, Relation::kLessEq, 1.0);
   (void)x;
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   EXPECT_EQ(r.status, Status::kUnbounded);
 }
 
@@ -115,7 +115,7 @@ TEST(Simplex, NegativeRhsNormalization) {
   LpProblem p;
   const auto x = p.add_variable(1.0);
   p.add_constraint({{x, -1.0}}, Relation::kLessEq, -3.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.x[x], 3.0, 1e-8);
 }
@@ -129,7 +129,7 @@ TEST(Simplex, DegenerateProblemTerminates) {
   p.add_constraint({{x, 2.0}, {y, 2.0}}, Relation::kLessEq, 2.0);
   p.add_constraint({{x, 1.0}}, Relation::kLessEq, 1.0);
   p.add_constraint({{y, 1.0}}, Relation::kLessEq, 1.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.objective, -1.0, 1e-8);
 }
@@ -142,7 +142,7 @@ TEST(Simplex, RedundantEqualityRowHandled) {
   const auto y = p.add_variable(2.0);
   p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kEq, 3.0);
   p.add_constraint({{x, 2.0}, {y, 2.0}}, Relation::kEq, 6.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.objective, 3.0, 1e-8);  // x = 3, y = 0
 }
@@ -152,7 +152,7 @@ TEST(Simplex, DuplicateTermsAccumulate) {
   LpProblem p;
   const auto x = p.add_variable(-1.0);
   p.add_constraint({{x, 1.0}, {x, 1.0}}, Relation::kLessEq, 4.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.x[x], 2.0, 1e-8);
 }
@@ -162,7 +162,7 @@ TEST(Simplex, ZeroRhsEqualityFeasible) {
   const auto x = p.add_variable(1.0);
   const auto y = p.add_variable(-1.0, 5.0);
   p.add_constraint({{x, 1.0}, {y, -1.0}}, Relation::kEq, 0.0);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   // x = y, min x - y = 0 with y at anything; objective must be 0.
   EXPECT_NEAR(r.objective, 0.0, 1e-8);
@@ -178,7 +178,7 @@ TEST(Simplex, IterationLimitReported) {
   p.add_constraint({{x, 2.0}, {y, 1.0}}, Relation::kLessEq, 5.0);
   SolveOptions opt;
   opt.max_iterations = 1;
-  const LpResult r = solve(p, opt);
+  const LpResult r = solve_dense(p, opt);
   EXPECT_EQ(r.status, Status::kIterationLimit);
   EXPECT_TRUE(r.x.empty());
 }
@@ -193,7 +193,7 @@ TEST(Simplex, BlandFallbackStillSolves) {
   p.add_constraint({{x, 3.0}, {y, 2.0}}, Relation::kLessEq, 18.0);
   SolveOptions opt;
   opt.bland_after = 0;
-  const LpResult r = solve(p, opt);
+  const LpResult r = solve_dense(p, opt);
   ASSERT_TRUE(r.optimal());
   EXPECT_NEAR(r.objective, -36.0, 1e-8);
 }
@@ -239,7 +239,7 @@ TEST(Simplex, MediumScaleTeShapedLp) {
     p.add_constraint(std::move(row), Relation::kLessEq, 0.0);
   }
 
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(r.optimal());
   // Recompute the max edge utilization of the returned point.
   double mlu = 0.0;
@@ -360,7 +360,7 @@ TEST_P(SimplexRandomLp, MatchesBruteForce) {
 
   bool feasible = false;
   const double best = brute_force_min(c, a, b, ub, &feasible);
-  const LpResult r = solve(p);
+  const LpResult r = solve_dense(p);
   ASSERT_TRUE(feasible);  // origin is feasible by construction
   ASSERT_TRUE(r.optimal()) << "seed " << GetParam().seed;
   EXPECT_NEAR(r.objective, best, 1e-6) << "seed " << GetParam().seed;
